@@ -2,12 +2,15 @@
 //
 // The agent is the only Scrub code that runs on application hosts, and it is
 // deliberately tiny: for each log() call it does (at most) an event-sampling
-// coin flip, the host-side selection conjuncts, projection, and a push into
-// a bounded staging buffer. Joins, grouping and aggregation never run here
-// (Section 4). Three protective properties the paper calls out:
+// coin flip and an append to the query's per-source column batch; a flush
+// then runs the host-side selection conjuncts vectorized, projects by
+// column selection, and ships the survivors in the columnar wire format.
+// Joins, grouping and aggregation never run here (Section 4). Three
+// protective properties the paper calls out:
 //
-//  * log() never blocks: the staging buffer sheds (and counts) events when
-//    full rather than back-pressuring the application thread.
+//  * log() never blocks: staging is bounded in rows and bytes and sheds
+//    (and counts) events when full rather than back-pressuring the
+//    application thread.
 //  * Sampling happens before any predicate work, so a 10% event sample cuts
 //    ~90% of the agent's per-event cost, not just its output volume.
 //  * Queries self-expire: an event arriving after the plan's end_time
@@ -30,7 +33,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/bounded_buffer.h"
 #include "src/common/cost_model.h"
 #include "src/common/rng.h"
 #include "src/common/spill.h"
@@ -72,7 +74,10 @@ struct EventBatch {
   uint64_t seq = 0;
   uint64_t epoch = 0;
   BatchFormat format = BatchFormat::kRow;  // how `payload` is laid out
-  std::string payload;  // EncodeBatch (kRow) or EncodeColumnBatch (kColumnar)
+  // EncodeColumnBatch (kColumnar), EncodeColumnJoinBatch (kColumnarJoin),
+  // EncodePreAggBatch (kPreAgg), or EncodeBatch (kRow: the agent sends the
+  // empty row batch as its counters-only frame).
+  std::string payload;
   size_t event_count = 0;
   std::vector<WindowCounter> counters;  // deltas since the previous flush
 
@@ -88,12 +93,13 @@ struct EventBatch {
 };
 
 struct AgentConfig {
-  size_t staging_capacity = 8192;  // events buffered per query
-  // Byte budget over one query's staged events (logical wire sizes; 0 =
-  // unlimited). The staging buffer's event-count cap bounds entries; this
-  // bounds bytes, so a query over wide events cannot balloon the host. The
-  // degradation here is drop-and-count (log() never blocks, never spills);
-  // every drop is counted per window and folded into central's fidelity.
+  size_t staging_capacity = 8192;  // sampled events staged per query
+  // Byte budget over one query's staged events (full wire sizes, since
+  // projection runs at flush; 0 = unlimited). staging_capacity bounds rows;
+  // this bounds bytes, so a query over wide events cannot balloon the host.
+  // The degradation here is drop-and-count (log() never blocks, never
+  // spills); every drop is counted per window and folded into central's
+  // fidelity.
   size_t staging_budget_bytes = 0;
   size_t max_batch_events = 1024;  // flush splits batches beyond this
   // Reliable delivery. A flushed batch is held for retransmission until
@@ -109,13 +115,7 @@ struct AgentConfig {
   // per in-span query, so ScrubCentral can tell "host reachable, nothing to
   // report" from "host silent" — the basis of completeness accounting.
   bool flush_heartbeats = false;
-  // Columnar data plane: queries stage events in per-source ColumnBatches
-  // and run selection/projection vectorized at flush time. Single-source
-  // queries ship the columnar wire format; joins ship one columnar section
-  // per source plus the explicit arrival-order interleave (kColumnarJoin),
-  // so the central join replays the exact event sequence the row path would
-  // have shipped. Off by default so hand-built unit-test agents see the
-  // historical row behavior; ScrubSystem propagates its pipeline switch.
+  // Unread: kept only because scrubbench/replay.cc still assigns it.
   bool columnar = false;
   CostModel costs;
 };
@@ -123,9 +123,11 @@ struct AgentConfig {
 struct AgentQueryStats {
   uint64_t events_considered = 0;  // log() calls of a matching type
   uint64_t events_sampled_out = 0;
+  // Selection outcome. Column-staged queries select at flush, so these move
+  // when a flush runs; pre-aggregating queries select inside log().
   uint64_t events_filtered = 0;    // failed selection
-  uint64_t events_staged = 0;
-  uint64_t events_dropped = 0;     // staging buffer full
+  uint64_t events_staged = 0;      // passed selection
+  uint64_t events_dropped = 0;     // staging full or over its byte budget
   uint64_t events_shipped = 0;
   // Reliable-delivery accounting.
   uint64_t batches_sent = 0;          // first transmissions
@@ -137,12 +139,11 @@ struct AgentQueryStats {
   // Per-source, per-field wire encoding chosen by the most recent columnar
   // flush that shipped data (EncodeColumnBatch's convention: -1 dropped or
   // all-null, 0 plain, n > 0 dictionary with n entries). Empty until a
-  // columnar flush ships; row-path and pre-agg queries never fill it.
+  // columnar flush ships; pre-aggregating queries never fill it.
   std::vector<std::vector<int>> last_encodings;
-  // Staging shape, fixed at install: whether this query stages columnar
-  // and the plan-ordered source event types. Lives in the stats (not the
-  // ActiveQuery) so DescribeQuery can still render it after teardown.
-  bool columnar_staging = false;
+  // Plan-ordered source event types of a column-staged query (empty for a
+  // pre-aggregating one, which folds delta cells instead of staging). Lives
+  // in the stats so DescribeQuery can still render it after teardown.
   std::vector<std::string> source_types;
 };
 
@@ -176,15 +177,14 @@ class ScrubAgent {
   // The application-facing instrumentation point. Processes the event
   // against every active query, charges the host CostMeter, and returns the
   // simulated nanoseconds spent (so callers can fold it into request
-  // latency). The event is shared across queries by const reference; staged
-  // copies are projected. The rvalue overload lets the last staging query
-  // steal the caller's field values instead of deep-copying them.
+  // latency). The event is shared across queries by const reference.
   int64_t LogEvent(const Event& event);
-  int64_t LogEvent(Event&& event);
 
-  // Drains staged events into batches (at most max_batch_events each) and
-  // emits counter deltas. Also retires queries whose span has passed
-  // `now` (returns their ids in `expired` if non-null).
+  // Selects, projects and encodes staged events into batches (at most
+  // max_batch_events each) and emits counter deltas; counters with no
+  // surviving event to ride on ship as a counters-only frame. Also retires
+  // queries whose span has passed `now` (returns their ids in `expired` if
+  // non-null).
   std::vector<EventBatch> Flush(TimeMicros now,
                                 std::vector<QueryId>* expired = nullptr);
 
@@ -199,26 +199,12 @@ class ScrubAgent {
   size_t pending_retransmits() const;
   uint64_t epoch() const { return epoch_; }
 
-  // Adaptive-execution hooks (driven by the central AdaptiveController).
-  //
-  // SetBatchOverride replaces config.max_batch_events for one query (0
-  // restores the configured default). It takes effect at the next flush;
-  // batch boundaries carry no fold effects at central, so re-chunking is
-  // transcript-neutral by construction.
+  // Adaptive-execution hook (driven by the central AdaptiveController):
+  // replaces config.max_batch_events for one query (0 restores the
+  // configured default). It takes effect at the next flush; batch boundaries
+  // carry no fold effects at central, so re-chunking is transcript-neutral
+  // by construction.
   void SetBatchOverride(QueryId query_id, size_t max_batch_events);
-  // SetPipelineOverride requests row (false) or columnar (true) staging for
-  // one query. The switch is deferred to the end of the query's next flush
-  // — the one point where staging is provably empty — so no staged event
-  // ever changes representation mid-stream. Columnar is granted only if the
-  // plan is eligible (no pre-aggregation, source count within the wire's
-  // section cap); an ineligible request silently keeps the row path, which
-  // is exactly the install-time fallback behavior.
-  void SetPipelineOverride(QueryId query_id, bool columnar);
-  // Introspection for DescribeQuery and the controller: current staging
-  // pipeline and effective batch cap (returns config defaults for unknown
-  // queries).
-  bool UsesColumns(QueryId query_id) const;
-  size_t BatchLimitFor(QueryId query_id) const;
 
   const AgentQueryStats* StatsFor(QueryId query_id) const;
   uint64_t total_events_logged() const { return total_events_logged_; }
@@ -226,17 +212,13 @@ class ScrubAgent {
  private:
   struct ActiveQuery {
     HostPlan plan;
-    BoundedBuffer<Event> staged;  // row path
-    // Columnar path: sampled events append here un-filtered; selection and
-    // projection run vectorized at flush. Lazily created from the first
-    // matching event's schema (the agent holds no SchemaRegistry).
-    bool use_columns = false;
-    // One staging batch per plan source (lazily sized to plan.sources, each
-    // batch lazily created from its first matching event's schema — the
-    // agent holds no SchemaRegistry). Single-source plans use slot 0; joins
-    // stage every source and record the arrival interleave in
-    // `staging_order` so the central join replays the row path's exact
-    // event sequence.
+    // Sampled events append here un-filtered; selection and projection run
+    // vectorized at flush. One staging batch per plan source (lazily sized
+    // to plan.sources, each batch lazily created from its first matching
+    // event's schema — the agent holds no SchemaRegistry). Single-source
+    // plans use slot 0; joins stage every source and record the arrival
+    // interleave in `staging_order` so the central join folds events in
+    // the order they were logged.
     std::vector<std::unique_ptr<ColumnBatch>> columns;
     // Source index of each column-staged event, in arrival order. Only
     // maintained for multi-source plans (a single source's arrival order is
@@ -255,15 +237,11 @@ class ScrubAgent {
       std::vector<PreAggGroup> groups;
     };
     std::map<TimeMicros, PreAggState> preagg;
-    // Adaptive overrides: 0 = use config.max_batch_events; pending_pipeline
-    // is -1 (none) / 0 (row) / 1 (columnar), applied at the next flush's
-    // empty-staging point.
+    // Adaptive override: 0 = use config.max_batch_events.
     size_t batch_override = 0;
-    int pending_pipeline = -1;
     AgentQueryStats stats;
 
-    explicit ActiveQuery(const HostPlan& p, size_t capacity)
-        : plan(p), staged(capacity) {}
+    explicit ActiveQuery(const HostPlan& p) : plan(p) {}
   };
 
   // A flushed batch awaiting its ack.
@@ -274,31 +252,31 @@ class ScrubAgent {
     int attempts = 0;
   };
 
-  // Shared body of the two LogEvent overloads. `owned` is the same event
-  // when the caller handed over ownership (rvalue overload), else nullptr.
-  int64_t LogEventImpl(const Event& event, Event* owned);
+  // Appends one sampled event to its source's staging batch, or sheds and
+  // counts it when the query's staging is full in rows or bytes.
+  void Stage(ActiveQuery& q, size_t source, const Event& event);
 
-  // Projects `event` through the keep mask and pushes the result into the
-  // query's staging buffer. When `owned` is non-null the kept values are
-  // moved out of it instead of deep-copied (the per-field allocation fix).
-  void StageRow(ActiveQuery& q, const HostSourcePlan& sp, const Event& event,
-                Event* owned);
+  // Vectorized selection over one source's staged batch: each conjunct
+  // compacts the selection vector and is charged (into `ns`) only for the
+  // rows that reached it, projection per surviving row. Counts the filtered
+  // and surviving rows and returns the survivors in row order.
+  std::vector<uint32_t> SelectStaged(ActiveQuery& q, const HostSourcePlan& sp,
+                                     const ColumnBatch& cols, int64_t* ns);
 
-  // Vectorized flush pre-pass for a single-source columnar query: filter +
-  // project the staged ColumnBatch and append the resulting wire batches to
-  // `batches`.
+  // Vectorized flush for a single-source query: filter + project the staged
+  // ColumnBatch and append the resulting wire batches to `batches`.
   void FlushColumns(QueryId query_id, ActiveQuery& q, TimeMicros now,
                     std::vector<EventBatch>* batches);
 
   // Join twin of FlushColumns: per-source vectorized selection, then the
   // surviving events are chunked in arrival order (per staging_order) into
   // kColumnarJoin batches carrying one columnar section per source plus the
-  // interleave, so the chunk boundaries and the central fold order are
-  // byte-identical to the row path's single interleaved staging stream.
+  // interleave, so chunk boundaries and the central fold order follow the
+  // single arrival-ordered stream the host logged.
   void FlushColumnJoin(QueryId query_id, ActiveQuery& q, TimeMicros now,
                        std::vector<EventBatch>* batches);
 
-  // Total rows staged across a columnar query's per-source batches.
+  // Total rows staged across a query's per-source batches.
   size_t StagedColumnRows(const ActiveQuery& q) const;
 
   // Per-query flush chunk cap: the adaptive override when set, else the
@@ -313,6 +291,13 @@ class ScrubAgent {
   int64_t PreAggFold(ActiveQuery& q, const Event& event, TimeMicros ts);
   void FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
                    std::vector<EventBatch>* batches);
+
+  // Stamps one outgoing batch (seq, epoch, the query's pending counters on
+  // the first batch of a flush), charges its serialization, and queues it
+  // for shipping and retransmission.
+  void EmitBatch(QueryId query_id, ActiveQuery& q, BatchFormat format,
+                 std::string payload, size_t event_count, TimeMicros now,
+                 std::vector<EventBatch>* batches);
 
   // Keeps a retransmit copy of a just-flushed batch, budget permitting.
   void HoldForRetransmit(ActiveQuery& q, QueryId query_id,
@@ -337,8 +322,8 @@ class ScrubAgent {
   Rng rng_;
   Rng retry_rng_;
   uint64_t epoch_;
-  // Logical bytes staged per query, against staging_budget_bytes. Released
-  // when a flush drains the query's staging (row buffer or column batch).
+  // Wire bytes staged per query, against staging_budget_bytes. Released
+  // when a flush drains the query's staging batches.
   MemoryAccountant staging_accountant_;
   std::unordered_map<QueryId, ActiveQuery> queries_;
   std::unordered_map<QueryId, AgentQueryStats> retired_stats_;

@@ -48,14 +48,6 @@ class Event {
   const Value& field(size_t index) const { return fields_[index]; }
   size_t field_count() const { return fields_.size(); }
 
-  // Moves a field's value out (projection fast path for events the caller
-  // owns), leaving null behind.
-  Value TakeField(size_t index) {
-    Value v = std::move(fields_[index]);
-    fields_[index] = Value();
-    return v;
-  }
-
   // Resolves user fields AND the system fields __request_id / __timestamp.
   // Returns Value::Null() for unknown names (queries are validated upstream,
   // so unknown here means "not projected").

@@ -21,10 +21,13 @@
 
 namespace scrub {
 
-// How an EventBatch payload is laid out. The row format remains the
-// control-plane / back-compat default; the columnar format is the data-plane
-// fast path (one contiguous run per column instead of one record per event).
+// How an EventBatch payload is laid out. Agents ship events columnar (one
+// contiguous run per column instead of one record per event).
 enum class BatchFormat : uint8_t {
+  // One record per event (EncodeBatch). Not a data-plane format: it carries
+  // the agent's counters-only frames (an empty batch) and the row baseline
+  // in the ingest bench, and central's spill records reuse its per-event
+  // encoding.
   kRow = 0,
   kColumnar = 1,
   // Agent-side pre-aggregation ablation: the payload is per-(slot, group)
@@ -32,8 +35,8 @@ enum class BatchFormat : uint8_t {
   kPreAgg = 2,
   // Multi-source (join) columnar staging: one columnar section per query
   // source plus the explicit arrival-order interleave, so the central join
-  // replays the exact event sequence the row path would have shipped
-  // (EncodeColumnJoinBatch below).
+  // replays the exact event sequence the host logged (EncodeColumnJoinBatch
+  // below).
   kColumnarJoin = 3,
 };
 

@@ -92,12 +92,6 @@ inline constexpr std::string_view kNullComparison =
 // fidelity < 1. Only fires when a budget is configured.
 inline constexpr std::string_view kWindowStateBudget =
     "scrubql-window-state-budget";
-// (p) Join reads from more sources than the columnar wire's section cap
-// (kMaxColumnJoinSections): agents silently fall back to row staging for
-// the query — correct, but without vectorized selection or the dictionary
-// wire encoding, and invisible unless you know to look.
-inline constexpr std::string_view kJoinWidthRowFallback =
-    "scrubql-join-width-row-fallback";
 }  // namespace lint_rules
 
 struct Diagnostic {

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/strings.h"
+#include "src/event/wire.h"
 #include "src/query/parser.h"
 
 namespace scrub {
@@ -99,6 +100,14 @@ class Analyzer {
     if (q.sources.size() > options_.max_sources) {
       return Unimplemented(StrFormat(
           "queries may join at most %zu event types", options_.max_sources));
+    }
+    // Hard cap, whatever max_sources allows: agents ship a join as one
+    // columnar section per source, and the wire carries at most this many.
+    if (q.sources.size() > kMaxColumnJoinSections) {
+      return Unimplemented(StrFormat(
+          "queries may join at most %zu event types (the columnar join "
+          "wire's section cap)",
+          kMaxColumnJoinSections));
     }
     for (size_t i = 0; i < q.sources.size(); ++i) {
       for (size_t j = i + 1; j < q.sources.size(); ++j) {

@@ -31,7 +31,9 @@ struct AnalyzerOptions {
   TimeMicros default_window_micros = 10 * kMicrosPerSecond;
   TimeMicros default_duration_micros = 5 * kMicrosPerMinute;
   TimeMicros max_duration_micros = 24 * kMicrosPerHour;
-  size_t max_sources = 2;  // the paper's queries join at most two event types
+  // The paper's queries join at most two event types. Analyze also rejects
+  // anything above kMaxColumnJoinSections (src/event/wire.h) regardless.
+  size_t max_sources = 2;
 };
 
 // The validated query plus binding metadata the planner consumes.

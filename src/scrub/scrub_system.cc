@@ -60,10 +60,6 @@ ScrubSystem::ScrubSystem(SystemConfig config)
         config_.central.allowed_lateness + config_.flush_interval;
   }
   config_.agent.flush_heartbeats = true;
-  // The pipeline switch must be folded into the agent config before any
-  // agent is constructed (including RestartHost's fresh incarnations, which
-  // reuse config_.agent).
-  config_.agent.columnar = config_.columnar;
 
   transport_.SetFaultPlan(config_.faults);
 
@@ -152,20 +148,15 @@ ScrubSystem::ScrubSystem(SystemConfig config)
   }
 
   // Adaptive controller: decisions fan out to every agent in ascending host
-  // order (a host without the query treats the override as a no-op). Both
-  // callbacks run from the single-threaded pump, never concurrently with
+  // order (a host without the query treats the override as a no-op). The
+  // callback runs from the single-threaded pump, never concurrently with
   // the flush pool.
   if (config_.adaptive.enabled) {
     adaptive_ = std::make_unique<AdaptiveController>(
-        config_.adaptive, config_.agent.max_batch_events, config_.columnar,
+        config_.adaptive, config_.agent.max_batch_events,
         [this](QueryId qid, size_t batch) {
           for (const HostId host : agent_hosts_) {
             agents_.at(host)->SetBatchOverride(qid, batch);
-          }
-        },
-        [this](QueryId qid, bool columnar) {
-          for (const HostId host : agent_hosts_) {
-            agents_.at(host)->SetPipelineOverride(qid, columnar);
           }
         });
   }
@@ -185,9 +176,7 @@ ScrubSystem::ScrubSystem(SystemConfig config)
         event_tap_(host, event);
       }
       ScrubAgent* a = agent(host);
-      // The platform hands the event over by value: the agent may strip
-      // projected field values in place instead of deep-copying them.
-      return a == nullptr ? int64_t{0} : a->LogEvent(std::move(event));
+      return a == nullptr ? int64_t{0} : a->LogEvent(event);
     });
   }
 }
@@ -348,18 +337,15 @@ void ScrubSystem::PumpAdaptive(TimeMicros now) {
     if (cs == nullptr) {
       continue;
     }
-    const HostPlan* hp = server_->HostPlanFor(qid);
-    const bool eligible = hp != nullptr && !hp->preaggregate &&
-                          hp->sources.size() <= kMaxColumnJoinSections;
-    adaptive_->OnInstall(qid, now, eligible);
+    adaptive_->OnInstall(qid, now);
     adaptive_->OnPump(qid, now, *cs);
   }
 }
 
 void ScrubSystem::PumpFlushes() {
   const TimeMicros now = scheduler_.Now();
-  // Adaptive decisions first, so a pipeline/batch override issued this tick
-  // is applied by this tick's flush (the agent's empty-staging point).
+  // Adaptive decisions first, so a batch override issued this tick is
+  // applied by this tick's flush.
   PumpAdaptive(now);
   // Fan the per-host flush/retransmit evaluation (selection residue,
   // encoding, backoff bookkeeping) across the pool. Each task touches only
@@ -659,12 +645,12 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
       static_cast<unsigned long long>(acked),
       static_cast<unsigned long long>(shed),
       static_cast<unsigned long long>(abandoned));
-  // Staging representation and per-column wire encodings. Staging mode is
-  // config-driven and identical fleet-wide, so one reporting agent is
-  // representative — prefer a host that actually shipped a columnar flush
-  // so the encodings render (a host that never logs the source type keeps
-  // them empty). The shape lives in the stats, so this renders even after
-  // the query is torn down.
+  // Staging shape and per-column wire encodings. The shape is fixed by the
+  // plan and identical fleet-wide, so one reporting agent is representative
+  // — prefer a host that actually shipped a flush so the encodings render
+  // (a host that never logs the source type keeps them empty). The shape
+  // lives in the stats, so this renders even after the query is torn down;
+  // pre-aggregating queries stage nothing and render no staging section.
   const AgentQueryStats* s = nullptr;
   for (const auto& [host, agent_ptr] : agents_) {
     const AgentQueryStats* cand = agent_ptr->StatsFor(id);
@@ -683,12 +669,10 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
     }
   }
   if (s != nullptr) {
-    const bool columnar = s->columnar_staging;
     const std::vector<std::string>& source_names = s->source_types;
-    out += StrFormat("  staging: %s\n",
-                     !columnar               ? "row"
-                     : source_names.size() > 1 ? "columnar join"
-                                               : "columnar");
+    out += StrFormat("  staging: %s\n", source_names.size() > 1
+                                            ? "columnar join"
+                                            : "columnar");
     for (size_t i = 0; i < source_names.size(); ++i) {
       std::string line =
           StrFormat("    source %s:", source_names[i].c_str());
@@ -696,9 +680,7 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
           i < s->last_encodings.size() && !s->last_encodings[i].empty()
               ? &s->last_encodings[i]
               : nullptr;
-      if (!columnar) {
-        line += " row events";
-      } else if (enc == nullptr) {
+      if (enc == nullptr) {
         line += " no columnar flush shipped yet";
       } else {
         Result<SchemaPtr> schema = schemas_.Get(source_names[i]);

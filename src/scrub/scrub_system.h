@@ -58,16 +58,6 @@ struct SystemConfig {
   // When false the platform runs un-instrumented (the A side of the
   // overhead experiments E7/E8).
   bool scrub_enabled = true;
-  // Data-plane pipeline switch. True (default) stages events per query in
-  // columnar batches: filter and project run vectorized at flush time and
-  // batches ship in the columnar wire format, decoded straight into columns
-  // at central, where the physical-operator executor folds them without
-  // materializing Events (join plans materialize join survivors only).
-  // False keeps the per-event row pipeline end to end. Both pipelines
-  // produce byte-identical result transcripts. Agents still stage join
-  // queries row-wise (the columnar-joins-end-to-end item in ROADMAP.md),
-  // so ScrubSystem joins ship rows either way.
-  bool columnar = true;
   // Hierarchical aggregation (million-host fleets): number of regional
   // combiner nodes. 0 (default) is the flat topology — agents ship straight
   // to central. With N > 0 regions, combiner r lives in DC (r mod
@@ -83,10 +73,10 @@ struct SystemConfig {
   // server). Off by default.
   bool agent_preaggregate = false;
   // Adaptive execution (DESIGN.md §16): a per-query controller at the
-  // coordinator tier that A/B-calibrates row vs columnar on live traffic
-  // and auto-tunes the agents' flush batch cap from the decode operator's
-  // observed fill. Off by default (`adaptive.enabled` is the kill switch);
-  // every decision is transcript-neutral and logged in DescribeQuery.
+  // coordinator tier that auto-tunes the agents' flush batch cap from the
+  // decode operator's observed fill. Off by default (`adaptive.enabled` is
+  // the kill switch); every decision is transcript-neutral and logged in
+  // DescribeQuery.
   // Flat-path queries only; combiner-routed queries keep static config.
   AdaptiveConfig adaptive;
   // Chaos: installed on the transport at construction. Deterministic per

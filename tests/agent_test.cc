@@ -1,5 +1,7 @@
 // Unit tests for the per-host ScrubAgent: selection, projection, sampling,
-// shedding, window counters, flush batching, and self-expiry.
+// shedding, window counters, flush batching, counters-only frames, and
+// self-expiry. Selection runs at flush (vectorized over the staged column
+// batches), so selection stats are read after a flush.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +21,11 @@ class AgentTest : public ::testing::Test {
                    .AddField("price", FieldType::kDouble)
                    .AddField("country", FieldType::kString)
                    .Build();
+    impression_schema_ = *EventSchema::Builder("impression")
+                              .AddField("line_item_id", FieldType::kLong)
+                              .Build();
     EXPECT_TRUE(registry_.Register(schema_).ok());
+    EXPECT_TRUE(registry_.Register(impression_schema_).ok());
   }
 
   ScrubAgent MakeAgent(size_t staging = 64) {
@@ -44,8 +50,15 @@ class AgentTest : public ::testing::Test {
     return e;
   }
 
+  Event MakeImpression(RequestId rid, TimeMicros ts, int64_t line_item) {
+    Event e(impression_schema_, rid, ts);
+    e.SetField(0, Value(line_item));
+    return e;
+  }
+
   SchemaRegistry registry_;
   SchemaPtr schema_;
+  SchemaPtr impression_schema_;
   CostMeter meter_;
   ScrubAgent agent_;
   QueryId next_id_ = 1;
@@ -66,20 +79,26 @@ TEST_F(AgentTest, SelectionFiltersAndProjectionNulls) {
       "GROUP BY bid.user_id WINDOW 1 s DURATION 60 s;"));
   agent_.LogEvent(MakeBid(1, 10, 7, 3.0));   // passes
   agent_.LogEvent(MakeBid(2, 11, 8, 1.0));   // filtered
+  // log() only stages; selection has not run yet.
+  const AgentQueryStats* stats = agent_.StatsFor(1);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->events_considered, 2u);
+  EXPECT_EQ(stats->events_filtered, 0u);
+  EXPECT_EQ(stats->events_staged, 0u);
+
   std::vector<EventBatch> batches = agent_.Flush(20);
   ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].format, BatchFormat::kColumnar);
   EXPECT_EQ(batches[0].event_count, 1u);
-  Result<std::vector<Event>> events =
-      DecodeBatch(registry_, batches[0].payload);
-  ASSERT_TRUE(events.ok());
-  ASSERT_EQ(events->size(), 1u);
-  const Event& shipped = (*events)[0];
+  Result<ColumnBatch> cols = DecodeColumnBatch(registry_, batches[0].payload);
+  ASSERT_TRUE(cols.ok()) << cols.status().ToString();
+  ASSERT_EQ(cols->rows(), 1u);
+  const Event shipped = cols->MaterializeEvent(0);
   EXPECT_EQ(shipped.GetField("user_id"), Value(int64_t{7}));
   EXPECT_EQ(shipped.GetField("price"), Value(3.0));  // read by WHERE
   EXPECT_TRUE(shipped.GetField("country").is_null());  // projected away
 
-  const AgentQueryStats* stats = agent_.StatsFor(1);
-  ASSERT_NE(stats, nullptr);
+  stats = agent_.StatsFor(1);
   EXPECT_EQ(stats->events_considered, 2u);
   EXPECT_EQ(stats->events_filtered, 1u);
   EXPECT_EQ(stats->events_staged, 1u);
@@ -113,6 +132,7 @@ TEST_F(AgentTest, EventSamplingReducesShippedShare) {
   for (int i = 0; i < n; ++i) {
     agent_.LogEvent(MakeBid(static_cast<RequestId>(i), 100 + i, 1, 1.0));
   }
+  agent_.Flush(10'000);
   const AgentQueryStats* stats = agent_.StatsFor(1);
   ASSERT_NE(stats, nullptr);
   const double rate =
@@ -130,10 +150,52 @@ TEST_F(AgentTest, ShedsInsteadOfBlockingWhenStagingFull) {
   for (int i = 0; i < 20; ++i) {
     small.LogEvent(MakeBid(static_cast<RequestId>(i), 100, 1, 1.0));
   }
+  // Shedding happens at log() time; the staged rows pass selection at flush.
   const AgentQueryStats* stats = small.StatsFor(next_id_ - 1);
   ASSERT_NE(stats, nullptr);
-  EXPECT_EQ(stats->events_staged, 8u);
   EXPECT_EQ(stats->events_dropped, 12u);
+  std::vector<EventBatch> batches = small.Flush(200);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].event_count, 8u);
+  EXPECT_EQ(stats->events_staged, 8u);
+  ASSERT_EQ(batches[0].counters.size(), 1u);
+  EXPECT_EQ(batches[0].counters[0].shed, 12u);
+  // The flush emptied staging: the next events stage again.
+  small.LogEvent(MakeBid(100, 300, 1, 1.0));
+  EXPECT_EQ(stats->events_dropped, 12u);
+}
+
+TEST_F(AgentTest, StagingByteBudgetShedsAndReleasesAtFlush) {
+  const Event probe = MakeBid(0, 100, 1, 1.0);
+  AgentConfig config;
+  config.staging_budget_bytes = 3 * probe.WireSize();
+  ScrubAgent agent(/*host=*/3, &meter_, config, /*sampling_seed=*/99);
+  const HostPlan plan = PlanFor(
+      "SELECT bid.user_id, COUNT(*) FROM bid GROUP BY bid.user_id "
+      "WINDOW 60 s DURATION 60 s;");
+  agent.InstallQuery(plan);
+  // Staging holds un-projected events, so each one is charged its full
+  // wire size: exactly three fit.
+  for (int i = 0; i < 5; ++i) {
+    agent.LogEvent(MakeBid(static_cast<RequestId>(i), 100, 1, 1.0));
+  }
+  const AgentQueryStats* stats = agent.StatsFor(plan.query_id);
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->events_dropped, 2u);
+  std::vector<EventBatch> batches = agent.Flush(200);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].event_count, 3u);
+  ASSERT_EQ(batches[0].counters.size(), 1u);
+  EXPECT_EQ(batches[0].counters[0].seen, 5u);
+  EXPECT_EQ(batches[0].counters[0].shed, 2u);
+  // The flush returned the whole charge: three more fit again.
+  for (int i = 5; i < 8; ++i) {
+    agent.LogEvent(MakeBid(static_cast<RequestId>(i), 300, 1, 1.0));
+  }
+  EXPECT_EQ(stats->events_dropped, 2u);
+  batches = agent.Flush(400);
+  ASSERT_EQ(batches.size(), 1u);
+  EXPECT_EQ(batches[0].event_count, 3u);
 }
 
 TEST_F(AgentTest, FlushSplitsLargeBatches) {
@@ -235,9 +297,11 @@ TEST_F(AgentTest, WireSizeCountsHeaderAndCounters) {
   std::vector<EventBatch> batches = agent_.Flush(1000);
   ASSERT_EQ(batches.size(), 1u);
   const EventBatch& b = batches[0];
+  EXPECT_EQ(b.format, BatchFormat::kColumnar);
   EXPECT_FALSE(b.payload.empty());
   EXPECT_FALSE(b.counters.empty());
-  EXPECT_EQ(b.WireSize(), b.payload.size() + 32 * b.counters.size() + 36);
+  // 36 header bytes plus the one-byte format discriminator.
+  EXPECT_EQ(b.WireSize(), b.payload.size() + 32 * b.counters.size() + 37);
 }
 
 TEST_F(AgentTest, RetransmitsUntilAcked) {
@@ -328,6 +392,60 @@ TEST_F(AgentTest, HeartbeatsOnlyWhenOptedIn) {
   EXPECT_EQ(batches[0].counters[0].window_start, 0);
   EXPECT_EQ(batches[0].counters[0].seen, 0u);
   EXPECT_EQ(batches[0].counters[0].sampled, 0u);
+}
+
+// Counters-only frames are a wire contract: when heartbeats are on and no
+// staged row survives selection, the flush ships exactly one empty row batch
+// carrying the counters, numbered right after the last data batch.
+void ExpectCountersOnlyFrame(const std::vector<EventBatch>& batches,
+                             uint64_t expected_seq) {
+  ASSERT_EQ(batches.size(), 1u);
+  const EventBatch& b = batches[0];
+  EXPECT_EQ(b.format, BatchFormat::kRow);
+  EXPECT_EQ(b.payload, EncodeBatch({}));
+  EXPECT_EQ(b.event_count, 0u);
+  EXPECT_FALSE(b.counters.empty());
+  EXPECT_EQ(b.WireSize(), 40 + 32 * b.counters.size());
+  EXPECT_EQ(b.seq, expected_seq);
+}
+
+TEST_F(AgentTest, HeartbeatFrameBytesPinnedForSingleSource) {
+  AgentConfig config;
+  config.flush_heartbeats = true;
+  ScrubAgent agent(/*host=*/3, &meter_, config, /*sampling_seed=*/99);
+  agent.InstallQuery(PlanFor(
+      "SELECT COUNT(*) FROM bid WHERE bid.price > 2.0 "
+      "WINDOW 1 s DURATION 60 s;"));
+  agent.LogEvent(MakeBid(1, 10, 7, 3.0));  // survives
+  std::vector<EventBatch> data = agent.Flush(1000);
+  ASSERT_EQ(data.size(), 1u);
+  EXPECT_EQ(data[0].format, BatchFormat::kColumnar);
+  EXPECT_EQ(data[0].seq, 1u);
+
+  agent.LogEvent(MakeBid(2, 2000, 7, 1.0));  // filtered at flush
+  ExpectCountersOnlyFrame(agent.Flush(3000), /*expected_seq=*/2);
+  ExpectCountersOnlyFrame(agent.Flush(5000), /*expected_seq=*/3);  // silent
+}
+
+TEST_F(AgentTest, HeartbeatFrameBytesPinnedForJoin) {
+  AgentConfig config;
+  config.flush_heartbeats = true;
+  ScrubAgent agent(/*host=*/3, &meter_, config, /*sampling_seed=*/99);
+  agent.InstallQuery(PlanFor(
+      "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
+      "WHERE bid.price > 2.0 GROUP BY impression.line_item_id "
+      "WINDOW 1 s DURATION 60 s;"));
+  agent.LogEvent(MakeBid(1, 10, 7, 3.0));  // survives
+  agent.LogEvent(MakeImpression(1, 11, 4));
+  std::vector<EventBatch> data = agent.Flush(1000);
+  ASSERT_EQ(data.size(), 1u);
+  EXPECT_EQ(data[0].format, BatchFormat::kColumnarJoin);
+  EXPECT_EQ(data[0].event_count, 2u);
+  EXPECT_EQ(data[0].seq, 1u);
+
+  agent.LogEvent(MakeBid(2, 2000, 7, 1.0));  // filtered at flush
+  ExpectCountersOnlyFrame(agent.Flush(3000), /*expected_seq=*/2);
+  ExpectCountersOnlyFrame(agent.Flush(5000), /*expected_seq=*/3);  // silent
 }
 
 TEST_F(AgentTest, PerQueryCostScalesWithActiveQueries) {

@@ -1,5 +1,5 @@
-// Unit tests for src/common: Status/Result, strings, BoundedBuffer,
-// Histogram, Rng/Zipf, SimClock, CostMeter, WorkerPool.
+// Unit tests for src/common: Status/Result, strings, Histogram, Rng/Zipf,
+// SimClock, CostMeter, WorkerPool.
 
 #include <atomic>
 #include <numeric>
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/common/bounded_buffer.h"
 #include "src/common/clock.h"
 #include "src/common/cost_model.h"
 #include "src/common/histogram.h"
@@ -89,55 +88,6 @@ TEST(StringsTest, StripWhitespace) {
 TEST(StringsTest, Format) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");
-}
-
-TEST(BoundedBufferTest, FifoOrder) {
-  BoundedBuffer<int> buf(4);
-  EXPECT_TRUE(buf.TryPush(1));
-  EXPECT_TRUE(buf.TryPush(2));
-  int out = 0;
-  EXPECT_TRUE(buf.TryPop(&out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(buf.TryPop(&out));
-  EXPECT_EQ(out, 2);
-  EXPECT_FALSE(buf.TryPop(&out));
-}
-
-TEST(BoundedBufferTest, ShedsWhenFullAndCounts) {
-  BoundedBuffer<int> buf(2);
-  EXPECT_TRUE(buf.TryPush(1));
-  EXPECT_TRUE(buf.TryPush(2));
-  EXPECT_FALSE(buf.TryPush(3));
-  EXPECT_FALSE(buf.TryPush(4));
-  EXPECT_EQ(buf.dropped(), 2u);
-  // The buffered items are unaffected.
-  int out = 0;
-  EXPECT_TRUE(buf.TryPop(&out));
-  EXPECT_EQ(out, 1);
-}
-
-TEST(BoundedBufferTest, WrapsAround) {
-  BoundedBuffer<int> buf(3);
-  int out;
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(buf.TryPush(round));
-    EXPECT_TRUE(buf.TryPop(&out));
-    EXPECT_EQ(out, round);
-  }
-  EXPECT_TRUE(buf.empty());
-  EXPECT_EQ(buf.dropped(), 0u);
-}
-
-TEST(BoundedBufferTest, DrainInto) {
-  BoundedBuffer<int> buf(8);
-  for (int i = 0; i < 5; ++i) {
-    buf.TryPush(i);
-  }
-  std::vector<int> out;
-  EXPECT_EQ(buf.DrainInto(&out, 3), 3u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2}));
-  EXPECT_EQ(buf.DrainInto(&out, 10), 2u);
-  EXPECT_EQ(out.size(), 5u);
 }
 
 TEST(HistogramTest, BasicStats) {

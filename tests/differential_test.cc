@@ -102,8 +102,8 @@ struct PipelineRun {
   SchemaRegistry* schemas = nullptr;
 };
 
-// Full-precision rendering: any cross-pipeline divergence (a float summed in
-// a different order, a reordered emission) must fail loudly.
+// Full-precision rendering: any cross-run divergence (a float summed in a
+// different order, a reordered emission) must fail loudly.
 std::string RenderRow(const ResultRow& row) {
   return StrFormat("w%lld %s c=%.17g",
                    static_cast<long long>(row.window_start),
@@ -113,7 +113,7 @@ std::string RenderRow(const ResultRow& row) {
 // Builds and drives one system; returned so the caller can keep its schema
 // registry alive for the oracle replay. `regions` > 0 inserts the regional
 // combiner tier between the agents and central.
-std::unique_ptr<ScrubSystem> RunPipeline(const Combo& combo, bool columnar,
+std::unique_ptr<ScrubSystem> RunPipeline(const Combo& combo,
                                          PipelineRun* out,
                                          size_t regions = 0,
                                          size_t workers = 0) {
@@ -125,13 +125,8 @@ std::unique_ptr<ScrubSystem> RunPipeline(const Combo& combo, bool columnar,
   config.platform.presentation_per_dc = 1;
   config.platform.num_campaigns = 3;
   config.platform.line_items_per_campaign = 3;
-  config.columnar = columnar;
   config.combiner_regions = regions;
   config.workers = workers;
-  // Row and columnar payloads have different sizes; zero out the per-byte
-  // transport latency so delivery timing — and therefore the transcripts —
-  // can be compared byte-for-byte across pipelines.
-  config.transport.micros_per_byte = 0;
   auto system = std::make_unique<ScrubSystem>(config);
 
   // Ground truth: every event every live host logs, before any Scrub-side
@@ -280,23 +275,13 @@ void CompareToOracle(const Combo& combo, const PipelineRun& run,
 void RunCombo(const Combo& combo) {
   SCOPED_TRACE(combo.query);
 
-  // Run the identical workload through both data planes. The columnar
-  // pipeline is not "close to" the row pipeline — it must emit the very
-  // same bytes in the very same order.
-  PipelineRun row_run;
-  PipelineRun col_run;
-  std::unique_ptr<ScrubSystem> row_system;
+  PipelineRun flat_run;
+  std::unique_ptr<ScrubSystem> flat_system;
   {
-    SCOPED_TRACE("row pipeline");
-    row_system = RunPipeline(combo, /*columnar=*/false, &row_run);
+    SCOPED_TRACE("flat topology");
+    flat_system = RunPipeline(combo, &flat_run);
   }
-  {
-    SCOPED_TRACE("columnar pipeline");
-    RunPipeline(combo, /*columnar=*/true, &col_run);
-  }
-  ASSERT_EQ(row_run.tapped.size(), col_run.tapped.size());
-  EXPECT_EQ(col_run.transcript, row_run.transcript);
-  CompareToOracle(combo, row_run, row_system->schemas());
+  CompareToOracle(combo, flat_run, flat_system->schemas());
 
   // Whether flat-vs-hierarchical transcripts can be byte-compared: COUNT /
   // MIN / MAX finals are order-independent bit-for-bit, while SUM / AVG
@@ -304,9 +289,9 @@ void RunCombo(const Combo& combo) {
   // envelope-checked — those still go through the oracle below.
   AnalyzerOptions options;
   Result<AnalyzedQuery> analyzed =
-      ParseAndAnalyze(combo.query, row_system->schemas(), options);
+      ParseAndAnalyze(combo.query, flat_system->schemas(), options);
   ASSERT_TRUE(analyzed.ok());
-  Result<QueryPlan> plan = PlanQuery(*analyzed, row_run.query_id, 0);
+  Result<QueryPlan> plan = PlanQuery(*analyzed, flat_run.query_id, 0);
   ASSERT_TRUE(plan.ok());
   bool exact_transcript = true;
   for (const AggregateSpec& spec : plan->central.aggregates) {
@@ -325,11 +310,11 @@ void RunCombo(const Combo& combo) {
     SCOPED_TRACE(StrFormat("hierarchical, %zu regions", regions));
     PipelineRun hier_run;
     std::unique_ptr<ScrubSystem> hier_system =
-        RunPipeline(combo, /*columnar=*/false, &hier_run, regions);
-    ASSERT_EQ(hier_run.tapped.size(), row_run.tapped.size());
+        RunPipeline(combo, &hier_run, regions);
+    ASSERT_EQ(hier_run.tapped.size(), flat_run.tapped.size());
     CompareToOracle(combo, hier_run, hier_system->schemas());
     if (exact_transcript) {
-      EXPECT_EQ(hier_run.transcript, row_run.transcript);
+      EXPECT_EQ(hier_run.transcript, flat_run.transcript);
     }
   }
 }
@@ -377,29 +362,29 @@ TEST(DifferentialTest, JoinWithCrossSourceAggregate) {
        606});
 }
 
-TEST(DifferentialTest, JoinColumnarStagingAcrossWorkerCounts) {
-  // The columnar-staged join (per-source kColumnarJoin sections + staging
-  // interleave) against the row-staged reference at every worker count:
-  // workers > 0 re-buckets the join slice per request id across shards, and
-  // each transcript must still match the row pipeline byte for byte.
+TEST(DifferentialTest, JoinAcrossWorkerCounts) {
+  // The join (per-source kColumnarJoin sections + staging interleave)
+  // against the oracle, then at every worker count: workers > 0 re-buckets
+  // the join slice per request id across shards, and each transcript must
+  // still match the inline run byte for byte.
   const Combo combo = {
       "SELECT impression.line_item_id, COUNT(*), SUM(bid.bid_price) "
       "FROM bid, impression GROUP BY impression.line_item_id "
       "WINDOW 1 s DURATION 3 s;",
       707};
-  PipelineRun row_run;
-  std::unique_ptr<ScrubSystem> row_system;
+  PipelineRun inline_run;
+  std::unique_ptr<ScrubSystem> inline_system;
   {
-    SCOPED_TRACE("row pipeline");
-    row_system = RunPipeline(combo, /*columnar=*/false, &row_run);
+    SCOPED_TRACE("inline (0 workers)");
+    inline_system = RunPipeline(combo, &inline_run);
   }
-  CompareToOracle(combo, row_run, row_system->schemas());
-  for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-    SCOPED_TRACE(StrFormat("columnar pipeline, %zu workers", workers));
-    PipelineRun col_run;
-    RunPipeline(combo, /*columnar=*/true, &col_run, /*regions=*/0, workers);
-    ASSERT_EQ(col_run.tapped.size(), row_run.tapped.size());
-    EXPECT_EQ(col_run.transcript, row_run.transcript);
+  CompareToOracle(combo, inline_run, inline_system->schemas());
+  for (const size_t workers : {size_t{2}, size_t{8}}) {
+    SCOPED_TRACE(StrFormat("%zu workers", workers));
+    PipelineRun run;
+    RunPipeline(combo, &run, /*regions=*/0, workers);
+    ASSERT_EQ(run.tapped.size(), inline_run.tapped.size());
+    EXPECT_EQ(run.transcript, inline_run.transcript);
   }
 }
 

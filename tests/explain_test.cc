@@ -202,20 +202,21 @@ TEST(DescribeQueryTest, ReportsStagingAndColumnEncodings) {
   EXPECT_NE(j.find("source impression:"), std::string::npos) << j;
   EXPECT_NE(j.find("line_item_id=plain"), std::string::npos) << j;
 
-  // Row mode reports itself honestly.
-  SystemConfig row_config = config;
-  row_config.columnar = false;
-  ScrubSystem row_system(row_config);
-  row_system.workload().SchedulePoissonLoad(load);
-  Result<SubmittedQuery> row_sub = row_system.Submit(
+  // Pre-aggregating queries fold delta cells instead of staging events, so
+  // they render no staging section at all.
+  SystemConfig preagg_config = config;
+  preagg_config.agent_preaggregate = true;
+  ScrubSystem preagg_system(preagg_config);
+  preagg_system.workload().SchedulePoissonLoad(load);
+  Result<SubmittedQuery> preagg_sub = preagg_system.Submit(
       "SELECT COUNT(*) FROM bid WINDOW 2 s DURATION 4 s;",
       [](const ResultRow&) {});
-  ASSERT_TRUE(row_sub.ok());
-  row_system.RunUntil(5 * kMicrosPerSecond);
-  row_system.Drain();
-  const std::string r = row_system.DescribeQuery(row_sub->id);
-  EXPECT_NE(r.find("staging: row\n"), std::string::npos) << r;
-  EXPECT_NE(r.find("source bid: row events"), std::string::npos) << r;
+  ASSERT_TRUE(preagg_sub.ok());
+  preagg_system.RunUntil(5 * kMicrosPerSecond);
+  preagg_system.Drain();
+  const std::string r = preagg_system.DescribeQuery(preagg_sub->id);
+  EXPECT_NE(r.find("agent totals:"), std::string::npos) << r;
+  EXPECT_EQ(r.find("staging:"), std::string::npos) << r;
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Operator-metrics plane, adaptive execution and the calibrated cost model
 // (DESIGN.md §16): per-operator counters accumulate on every pipeline shape
-// (row, columnar, join, sharded, hierarchical), surface through
+// (single-source, join, sharded, hierarchical), surface through
 // DescribeQuery / EXPLAIN ANALYZE, survive teardown, drive the
-// AdaptiveController's calibration and batch tuning, and feed the
-// predicted-cost admission check.
+// AdaptiveController's batch tuning, and feed the predicted-cost admission
+// check.
 
 #include <string>
 #include <utility>
@@ -14,7 +14,6 @@
 #include "src/central/adaptive.h"
 #include "src/central/sharded_central.h"
 #include "src/common/rng.h"
-#include "src/common/strings.h"
 #include "src/event/wire.h"
 #include "src/lint/lint.h"
 #include "src/query/analyzer.h"
@@ -30,14 +29,13 @@ constexpr const char* kJoinQuery =
     "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
     "GROUP BY impression.line_item_id WINDOW 1 s DURATION 10 s;";
 
-SystemConfig SmallSystem(bool columnar) {
+SystemConfig SmallSystem() {
   SystemConfig config;
   config.seed = 7;
   config.platform.seed = 7;
   config.platform.bidservers_per_dc = 3;
   config.platform.adservers_per_dc = 1;
   config.platform.presentation_per_dc = 1;
-  config.columnar = columnar;
   return config;
 }
 
@@ -53,10 +51,8 @@ void DriveLoad(ScrubSystem& system, double qps = 300,
 // Metrics accumulation per pipeline shape.
 // ---------------------------------------------------------------------------
 
-class PipelineMetricsTest : public ::testing::TestWithParam<bool> {};
-
-TEST_P(PipelineMetricsTest, CountersConsistentWithCentralStats) {
-  ScrubSystem system(SmallSystem(/*columnar=*/GetParam()));
+TEST(MetricsTest, CountersConsistentWithCentralStats) {
+  ScrubSystem system(SmallSystem());
   DriveLoad(system);
   auto submitted = system.Submit(kAggQuery, [](const ResultRow&) {});
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
@@ -92,11 +88,8 @@ TEST_P(PipelineMetricsTest, CountersConsistentWithCentralStats) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(RowAndColumnar, PipelineMetricsTest,
-                         ::testing::Values(false, true));
-
 TEST(MetricsTest, JoinPipelineFusesProbeAndFold) {
-  ScrubSystem system(SmallSystem(/*columnar=*/true));
+  ScrubSystem system(SmallSystem());
   DriveLoad(system);
   auto submitted = system.Submit(kJoinQuery, [](const ResultRow&) {});
   ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
@@ -126,7 +119,7 @@ TEST(MetricsTest, JoinPipelineFusesProbeAndFold) {
 }
 
 TEST(MetricsTest, CollectionOffLeavesStatsEmpty) {
-  SystemConfig config = SmallSystem(/*columnar=*/true);
+  SystemConfig config = SmallSystem();
   config.central.collect_op_metrics = false;
   ScrubSystem system(config);
   DriveLoad(system);
@@ -201,7 +194,7 @@ TEST(MetricsTest, ShardedCentralMergesShardMetricsAtCoordinator) {
 }
 
 TEST(MetricsTest, HierarchicalMetricsReachTheCoordinator) {
-  SystemConfig config = SmallSystem(/*columnar=*/true);
+  SystemConfig config = SmallSystem();
   config.combiner_regions = 2;
   ScrubSystem system(config);
   DriveLoad(system);
@@ -226,7 +219,7 @@ TEST(MetricsTest, HierarchicalMetricsReachTheCoordinator) {
 // ---------------------------------------------------------------------------
 
 TEST(MetricsTest, ExplainAnalyzeRendersAnnotatedOperators) {
-  ScrubSystem system(SmallSystem(/*columnar=*/true));
+  ScrubSystem system(SmallSystem());
   DriveLoad(system);
   auto submitted = system.Submit(kAggQuery, [](const ResultRow&) {});
   ASSERT_TRUE(submitted.ok());
@@ -241,7 +234,7 @@ TEST(MetricsTest, ExplainAnalyzeRendersAnnotatedOperators) {
 }
 
 TEST(MetricsTest, PeakStateBytesSurviveTeardown) {
-  SystemConfig config = SmallSystem(/*columnar=*/true);
+  SystemConfig config = SmallSystem();
   config.central.track_state_bytes = true;
   ScrubSystem system(config);
   DriveLoad(system);
@@ -264,19 +257,14 @@ TEST(MetricsTest, PeakStateBytesSurviveTeardown) {
 // AdaptiveController unit behavior (synthetic stats, recorded overrides).
 // ---------------------------------------------------------------------------
 
-struct RecordedOverrides {
-  std::vector<std::pair<QueryId, size_t>> batch;
-  std::vector<std::pair<QueryId, bool>> pipeline;
-};
+using RecordedOverrides = std::vector<std::pair<QueryId, size_t>>;
 
 AdaptiveController MakeController(const AdaptiveConfig& config,
                                   RecordedOverrides* rec,
-                                  size_t default_batch = 1024,
-                                  bool default_columnar = true) {
+                                  size_t default_batch = 1024) {
   return AdaptiveController(
-      config, default_batch, default_columnar,
-      [rec](QueryId id, size_t n) { rec->batch.emplace_back(id, n); },
-      [rec](QueryId id, bool c) { rec->pipeline.emplace_back(id, c); });
+      config, default_batch,
+      [rec](QueryId id, size_t n) { rec->emplace_back(id, n); });
 }
 
 TEST(AdaptiveControllerTest, DisabledControllerNeverOverrides) {
@@ -285,101 +273,15 @@ TEST(AdaptiveControllerTest, DisabledControllerNeverOverrides) {
   AdaptiveController ctl = MakeController(config, &rec);
   CentralQueryStats stats;
   stats.op_metrics.resize(1);
-  ctl.OnInstall(1, 0, true);
+  ctl.OnInstall(1, 0);
   for (int i = 0; i < 10; ++i) {
     ctl.OnPump(1, i, stats);
   }
-  EXPECT_TRUE(rec.batch.empty());
-  EXPECT_TRUE(rec.pipeline.empty());
+  EXPECT_TRUE(rec.empty());
   EXPECT_EQ(ctl.Describe(1), "");
 }
 
-TEST(AdaptiveControllerTest, CalibrationPicksTheCheaperPipeline) {
-  RecordedOverrides rec;
-  AdaptiveConfig config;
-  config.enabled = true;
-  config.calibration_pumps = 1;
-  AdaptiveController ctl = MakeController(config, &rec);
-  ctl.OnInstall(1, 0, /*columnar_eligible=*/true);
-  // Install forces the row pipeline for the first calibration phase.
-  ASSERT_EQ(rec.pipeline.size(), 1u);
-  EXPECT_FALSE(rec.pipeline[0].second);
-
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  ctl.OnPump(1, 1, stats);  // phase snapshot
-  // Row phase: 1000 rows at 200 ns/row.
-  stats.op_metrics[0].rows_in = 1000;
-  stats.op_metrics[0].batches = 10;
-  stats.op_metrics[0].cpu_ns = 200'000;
-  ctl.OnPump(1, 2, stats);  // measures row, switches to columnar phase
-  ASSERT_EQ(rec.pipeline.size(), 2u);
-  EXPECT_TRUE(rec.pipeline[1].second);
-
-  ctl.OnPump(1, 3, stats);  // columnar phase snapshot
-  // Columnar phase: another 1000 rows at only 50 ns/row.
-  stats.op_metrics[0].rows_in = 2000;
-  stats.op_metrics[0].batches = 20;
-  stats.op_metrics[0].cpu_ns = 250'000;
-  ctl.OnPump(1, 4, stats);  // measures columnar, locks the cheaper pipeline
-  ASSERT_EQ(rec.pipeline.size(), 3u);
-  EXPECT_TRUE(rec.pipeline[2].second);
-
-  const std::string described = ctl.Describe(1);
-  EXPECT_NE(described.find("phase=steady"), std::string::npos) << described;
-  EXPECT_NE(described.find("chose columnar pipeline"), std::string::npos)
-      << described;
-  const std::vector<AdaptiveDecision>* decisions = ctl.DecisionsFor(1);
-  ASSERT_NE(decisions, nullptr);
-  EXPECT_GE(decisions->size(), 4u);
-}
-
-TEST(AdaptiveControllerTest, CalibrationKeepsRowWhenColumnarLoses) {
-  RecordedOverrides rec;
-  AdaptiveConfig config;
-  config.enabled = true;
-  config.calibration_pumps = 1;
-  AdaptiveController ctl = MakeController(config, &rec);
-  ctl.OnInstall(1, 0, true);
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  ctl.OnPump(1, 1, stats);
-  // Row phase: 50 ns/row. Columnar phase: 400 ns/row.
-  stats.op_metrics[0].rows_in = 1000;
-  stats.op_metrics[0].batches = 10;
-  stats.op_metrics[0].cpu_ns = 50'000;
-  ctl.OnPump(1, 2, stats);
-  ctl.OnPump(1, 3, stats);
-  stats.op_metrics[0].rows_in = 2000;
-  stats.op_metrics[0].batches = 20;
-  stats.op_metrics[0].cpu_ns = 450'000;
-  ctl.OnPump(1, 4, stats);
-  ASSERT_EQ(rec.pipeline.size(), 3u);
-  EXPECT_FALSE(rec.pipeline[2].second);  // row locked despite columnar default
-  EXPECT_NE(ctl.Describe(1).find("chose row pipeline"), std::string::npos);
-}
-
-TEST(AdaptiveControllerTest, PhaseExtendsUntilTrafficArrives) {
-  RecordedOverrides rec;
-  AdaptiveConfig config;
-  config.enabled = true;
-  config.calibration_pumps = 1;
-  AdaptiveController ctl = MakeController(config, &rec);
-  ctl.OnInstall(1, 0, true);
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  for (int i = 1; i <= 5; ++i) {
-    ctl.OnPump(1, i, stats);  // zero rows folded: the row phase must hold
-  }
-  ASSERT_EQ(rec.pipeline.size(), 1u);  // still only the install-time force
-  stats.op_metrics[0].rows_in = 500;
-  stats.op_metrics[0].batches = 5;
-  stats.op_metrics[0].cpu_ns = 100'000;
-  ctl.OnPump(1, 6, stats);  // traffic at last: row measured, phase advances
-  EXPECT_EQ(rec.pipeline.size(), 2u);
-}
-
-TEST(AdaptiveControllerTest, IneligiblePlanSkipsCalibrationAndTunesBatch) {
+TEST(AdaptiveControllerTest, TunesBatchFromDecodeFill) {
   RecordedOverrides rec;
   AdaptiveConfig config;
   config.enabled = true;
@@ -387,9 +289,9 @@ TEST(AdaptiveControllerTest, IneligiblePlanSkipsCalibrationAndTunesBatch) {
   config.min_batch_events = 128;
   config.max_batch_events = 4096;
   AdaptiveController ctl = MakeController(config, &rec);
-  ctl.OnInstall(1, 0, /*columnar_eligible=*/false);
-  EXPECT_TRUE(rec.pipeline.empty());  // nothing to A/B
-  EXPECT_NE(ctl.Describe(1).find("columnar ineligible"), std::string::npos);
+  ctl.OnInstall(1, 0);
+  EXPECT_NE(ctl.Describe(1).find("batch tuning started at 1024"),
+            std::string::npos);
 
   CentralQueryStats stats;
   stats.op_metrics.resize(1);
@@ -397,20 +299,25 @@ TEST(AdaptiveControllerTest, IneligiblePlanSkipsCalibrationAndTunesBatch) {
   stats.op_metrics[0].rows_in = 10'000;
   stats.op_metrics[0].batches = 10;
   ctl.OnPump(1, 1, stats);
-  ASSERT_EQ(rec.batch.size(), 1u);
-  EXPECT_EQ(rec.batch[0].second, 2048u);
+  ASSERT_EQ(rec.size(), 1u);
+  EXPECT_EQ(rec[0].second, 2048u);
   // ...and near-empty flushes (avg fill 100 of cap 2048) halve it again.
   stats.op_metrics[0].rows_in = 11'000;
   stats.op_metrics[0].batches = 20;
   ctl.OnPump(1, 2, stats);
-  ASSERT_EQ(rec.batch.size(), 2u);
-  EXPECT_EQ(rec.batch[1].second, 1024u);
+  ASSERT_EQ(rec.size(), 2u);
+  EXPECT_EQ(rec[1].second, 1024u);
+  // An interval without traffic keeps the cap.
+  ctl.OnPump(1, 3, stats);
+  EXPECT_EQ(rec.size(), 2u);
+  EXPECT_NE(ctl.Describe(1).find("adaptive: batch=1024 decisions=3"),
+            std::string::npos)
+      << ctl.Describe(1);
 }
 
 TEST(MetricsTest, AdaptiveDecisionsVisibleInDescribeQuery) {
-  SystemConfig config = SmallSystem(/*columnar=*/true);
+  SystemConfig config = SmallSystem();
   config.adaptive.enabled = true;
-  config.adaptive.calibration_pumps = 2;
   config.adaptive.tune_interval_pumps = 2;
   ScrubSystem system(config);
   DriveLoad(system);
@@ -419,9 +326,9 @@ TEST(MetricsTest, AdaptiveDecisionsVisibleInDescribeQuery) {
   system.RunUntil(5 * kMicrosPerSecond);
   ASSERT_NE(system.adaptive_controller(), nullptr);
   const std::string described = system.DescribeQuery(submitted->id);
-  EXPECT_NE(described.find("adaptive: phase="), std::string::npos)
+  EXPECT_NE(described.find("adaptive: batch="), std::string::npos)
       << described;
-  EXPECT_NE(described.find("calibration started"), std::string::npos)
+  EXPECT_NE(described.find("batch tuning started"), std::string::npos)
       << described;
   const std::vector<AdaptiveDecision>* decisions =
       system.adaptive_controller()->DecisionsFor(submitted->id);
@@ -474,7 +381,7 @@ TEST(CostModelTest, PredictionScalesWithFleetAndPlanShape) {
 }
 
 TEST(CostModelTest, AdmissionRejectsWhenBudgetExhausted) {
-  SystemConfig config = SmallSystem(/*columnar=*/true);
+  SystemConfig config = SmallSystem();
   ScrubSystem system_probe(config);
   // Size the budget to admit exactly one copy of the query: predict its
   // cost under the same lint options admission will use.
@@ -505,7 +412,7 @@ TEST(CostModelTest, AdmissionRejectsWhenBudgetExhausted) {
 }
 
 TEST(CostModelTest, CalibrationDerivesUnitCostsFromObservedMetrics) {
-  ScrubSystem system(SmallSystem(/*columnar=*/true));
+  ScrubSystem system(SmallSystem());
   DriveLoad(system);
   auto submitted = system.Submit(kAggQuery, [](const ResultRow&) {});
   ASSERT_TRUE(submitted.ok());
@@ -518,46 +425,6 @@ TEST(CostModelTest, CalibrationDerivesUnitCostsFromObservedMetrics) {
   // predictions now use observed costs.
   EXPECT_EQ(system.LintConfig().costs.central_ingest_ns,
             calibrated.central_ingest_ns);
-}
-
-TEST(LintTest, JoinWiderThanColumnSectionsGetsRowFallbackNote) {
-  SchemaRegistry registry;
-  std::string from;
-  for (size_t i = 0; i < kMaxColumnJoinSections + 1; ++i) {
-    const std::string name = StrFormat("s%zu", i);
-    ASSERT_TRUE(registry
-                    .Register(*EventSchema::Builder(name)
-                                   .AddField(StrFormat("f%zu", i),
-                                             FieldType::kLong)
-                                   .Build())
-                    .ok());
-    from += (i == 0 ? "" : ", ") + name;
-  }
-  AnalyzerOptions analyzer;
-  analyzer.max_sources = kMaxColumnJoinSections + 2;
-  Result<AnalyzedQuery> aq = ParseAndAnalyze(
-      StrFormat("SELECT COUNT(*) FROM %s WINDOW 1 s DURATION 5 s;",
-                from.c_str()),
-      registry, analyzer);
-  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
-  const std::vector<Diagnostic> diags = LintQuery(*aq, LintOptions{});
-  bool found = false;
-  for (const Diagnostic& d : diags) {
-    if (d.rule == lint_rules::kJoinWidthRowFallback) {
-      found = true;
-      EXPECT_EQ(d.severity, LintSeverity::kNote);
-      EXPECT_NE(d.message.find("row staging"), std::string::npos);
-    }
-  }
-  EXPECT_TRUE(found);
-  // A two-way join stays under the cap: no note.
-  AnalyzerOptions two;
-  Result<AnalyzedQuery> narrow = ParseAndAnalyze(
-      "SELECT COUNT(*) FROM s0, s1 WINDOW 1 s DURATION 5 s;", registry, two);
-  ASSERT_TRUE(narrow.ok());
-  for (const Diagnostic& d : LintQuery(*narrow, LintOptions{})) {
-    EXPECT_NE(d.rule, lint_rules::kJoinWidthRowFallback);
-  }
 }
 
 }  // namespace

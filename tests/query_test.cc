@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/strings.h"
+#include "src/event/wire.h"
 #include "src/query/analyzer.h"
 #include "src/query/lexer.h"
 #include "src/query/parser.h"
@@ -329,6 +331,42 @@ TEST_F(AnalyzerTest, SourceValidation) {
   Result<AnalyzedQuery> three =
       Run("SELECT COUNT(*) FROM bid, exclusion, bid;");
   EXPECT_FALSE(three.ok());
+}
+
+TEST_F(AnalyzerTest, JoinsWiderThanColumnSectionCapRejected) {
+  // Agents ship a join as one columnar section per source, so the section
+  // cap bounds FROM no matter how far max_sources is raised.
+  SchemaRegistry registry;
+  std::string from;
+  for (size_t i = 0; i < kMaxColumnJoinSections + 1; ++i) {
+    const std::string name = StrFormat("s%zu", i);
+    ASSERT_TRUE(registry
+                    .Register(*EventSchema::Builder(name)
+                                   .AddField("f", FieldType::kLong)
+                                   .Build())
+                    .ok());
+    from += (i == 0 ? "" : ", ") + name;
+  }
+  AnalyzerOptions options;
+  options.max_sources = kMaxColumnJoinSections + 2;
+  Result<AnalyzedQuery> wide = ParseAndAnalyze(
+      StrFormat("SELECT COUNT(*) FROM %s WINDOW 1 s DURATION 5 s;",
+                from.c_str()),
+      registry, options);
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kUnimplemented);
+  EXPECT_NE(wide.status().message().find(
+                StrFormat("at most %zu event types", kMaxColumnJoinSections)),
+            std::string::npos)
+      << wide.status().ToString();
+
+  // Exactly at the cap is admitted.
+  const std::string at_cap = from.substr(0, from.rfind(", "));
+  EXPECT_TRUE(ParseAndAnalyze(
+                  StrFormat("SELECT COUNT(*) FROM %s WINDOW 1 s DURATION 5 s;",
+                            at_cap.c_str()),
+                  registry, options)
+                  .ok());
 }
 
 TEST_F(AnalyzerTest, DurationLimits) {

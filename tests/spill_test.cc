@@ -14,17 +14,20 @@
 //     and every affected window's rows carry fidelity < 1 — never a crash,
 //     never a silently wrong answer presented as complete.
 //  3. Degradation is DETERMINISTIC: transcripts stay byte-identical across
-//     worker counts and across the row/columnar pipelines with spill
-//     engaged, because budget charges use logical event sizes, not
-//     container capacities.
+//     worker counts with spill engaged, because budget charges use logical
+//     event sizes, not container capacities, and a spilled run still
+//     matches the naive oracle in tests/reference_executor.h.
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/bidsim/schemas.h"
 #include "src/central/central.h"
 #include "src/central/sharded_central.h"
 #include "src/common/rng.h"
@@ -33,6 +36,7 @@
 #include "src/event/wire.h"
 #include "src/query/analyzer.h"
 #include "src/scrub/scrub_system.h"
+#include "tests/reference_executor.h"
 
 namespace scrub {
 namespace {
@@ -405,18 +409,28 @@ TEST_F(SpillShardedTest, ShardShedSurfacesFidelityAtTheCoordinator) {
 // Full ScrubSystem: budgets + spill + agent staging pressure end to end.
 // ---------------------------------------------------------------------------
 
+constexpr const char* kSpillQuery =
+    "SELECT bid.user_id, COUNT(*), SUM(bid.bid_price) FROM bid "
+    "GROUP BY bid.user_id WINDOW 1 s DURATION 3 s;";
+
 struct SystemOutcome {
+  QueryId id = 0;
   std::vector<std::string> transcript;
+  std::vector<ResultRow> rows;
+  std::vector<Event> tapped;  // ground truth at the log() call
   std::string describe;
   std::string explain_analyze;
   CentralQueryStats stats;
   size_t peak = 0;
 };
 
-SystemOutcome RunSpillSystem(size_t workers, bool columnar,
-                             size_t central_budget, const std::string& spill_dir,
+// `load_start` > 0 starts traffic only after the install has reached every
+// agent, so the tapped ground truth is exactly the stream the agents saw.
+SystemOutcome RunSpillSystem(size_t workers, size_t central_budget,
+                             const std::string& spill_dir,
                              size_t staging_budget = 0,
-                             SpillFaultSpec spill_faults = {}) {
+                             SpillFaultSpec spill_faults = {},
+                             TimeMicros load_start = 0) {
   SystemConfig config;
   config.seed = 7;
   config.platform.seed = 7;
@@ -426,8 +440,6 @@ SystemOutcome RunSpillSystem(size_t workers, bool columnar,
   config.platform.num_campaigns = 3;
   config.platform.line_items_per_campaign = 3;
   config.workers = workers;
-  config.columnar = columnar;
-  config.transport.micros_per_byte = 0;
   config.central.track_state_bytes = true;
   config.central.query_state_budget_bytes = central_budget;
   config.central.spill_dir = spill_dir;
@@ -436,17 +448,20 @@ SystemOutcome RunSpillSystem(size_t workers, bool columnar,
   ScrubSystem system(config);
   PoissonLoadConfig load;
   load.requests_per_second = 200;
+  load.start = load_start;
   load.duration = 3 * kMicrosPerSecond;
   system.workload().SchedulePoissonLoad(load);
   SystemOutcome out;
-  auto submitted = system.Submit(
-      "SELECT bid.user_id, COUNT(*), SUM(bid.bid_price) FROM bid "
-      "GROUP BY bid.user_id WINDOW 1 s DURATION 3 s;",
-      [&out](const ResultRow& row) {
+  system.SetEventTap(
+      [&out](HostId, const Event& event) { out.tapped.push_back(event); });
+  auto submitted =
+      system.Submit(kSpillQuery, [&out](const ResultRow& row) {
+        out.rows.push_back(row);
         out.transcript.push_back(RenderRow(row));
       });
   EXPECT_TRUE(submitted.ok()) << submitted.status().ToString();
   const QueryId id = submitted.ok() ? submitted->id : 0;
+  out.id = id;
   system.RunUntil(2 * kMicrosPerSecond);
   out.explain_analyze = system.ExplainAnalyze(id);  // while still installed
   // Peak must be read while the query is installed: retirement's ReleaseAll
@@ -465,34 +480,72 @@ SystemOutcome RunSpillSystem(size_t workers, bool columnar,
   return out;
 }
 
-TEST(SpillSystemTest, BudgetedRunMatchesUnboundedAcrossWorkersAndPipelines) {
-  const SystemOutcome unbounded =
-      RunSpillSystem(0, /*columnar=*/false, 0, "");
+TEST(SpillSystemTest, BudgetedRunMatchesUnboundedAcrossWorkers) {
+  const SystemOutcome unbounded = RunSpillSystem(0, 0, "");
   ASSERT_GT(unbounded.peak, 0u);
   const size_t budget = unbounded.peak / 8;
   const std::string dir = SpillDir("system");
-  for (const bool columnar : {false, true}) {
-    for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-      const SystemOutcome budgeted =
-          RunSpillSystem(workers, columnar, budget, dir);
-      EXPECT_EQ(budgeted.transcript, unbounded.transcript)
-          << "workers=" << workers << " columnar=" << columnar;
-      EXPECT_EQ(budgeted.stats.events_shed, 0u);
-    }
+  for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
+    const SystemOutcome budgeted = RunSpillSystem(workers, budget, dir);
+    EXPECT_EQ(budgeted.transcript, unbounded.transcript)
+        << "workers=" << workers;
+    EXPECT_EQ(budgeted.stats.events_shed, 0u);
+    // The budget was real: every run under pressure spilled.
+    EXPECT_GT(budgeted.stats.events_spilled, 0u) << "workers=" << workers;
   }
-  // The budget was real: the row reference rerun under pressure spilled.
+}
+
+TEST(SpillSystemTest, SpilledRunMatchesReferenceExecutor) {
+  // Deferred events replay through the ordinary fold at window close; the
+  // rows must equal the naive oracle over the ground-truth stream: COUNT
+  // exact, SUM to float tolerance.
+  const TimeMicros load_start = 300 * kMicrosPerMilli;
+  const SystemOutcome unbounded = RunSpillSystem(0, 0, "", 0, {}, load_start);
+  ASSERT_GT(unbounded.peak, 0u);
   const SystemOutcome spilled =
-      RunSpillSystem(0, /*columnar=*/false, budget, dir);
-  EXPECT_GT(spilled.stats.events_spilled, 0u);
+      RunSpillSystem(0, unbounded.peak / 8, SpillDir("system_oracle"), 0, {},
+                     load_start);
+  ASSERT_GT(spilled.stats.events_spilled, 0u);
+  ASSERT_EQ(spilled.stats.events_shed, 0u);
+  ASSERT_EQ(spilled.stats.events_late, 0u);
+
+  SchemaRegistry schemas;
+  ASSERT_TRUE(RegisterBidsimSchemas(&schemas).ok());
+  Result<AnalyzedQuery> analyzed = ParseAndAnalyze(kSpillQuery, schemas);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  Result<QueryPlan> plan = PlanQuery(*analyzed, spilled.id, 0);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  ReferenceExecutor oracle(*analyzed, plan->central);
+  for (const Event& event : spilled.tapped) {
+    oracle.Observe(event);
+  }
+  std::map<std::string, const ResultRow*> want;
+  const std::vector<ResultRow> oracle_rows = oracle.Execute();
+  for (const ResultRow& row : oracle_rows) {
+    want[StrFormat("w%lld %s", static_cast<long long>(row.window_start),
+                   row.values[0].ToString().c_str())] = &row;
+  }
+  ASSERT_EQ(spilled.rows.size(), oracle_rows.size());
+  for (const ResultRow& row : spilled.rows) {
+    const std::string key =
+        StrFormat("w%lld %s", static_cast<long long>(row.window_start),
+                  row.values[0].ToString().c_str());
+    ASSERT_TRUE(want.count(key) > 0) << "unexpected row " << key;
+    const ResultRow& truth = *want[key];
+    EXPECT_EQ(row.values[1].ToString(), truth.values[1].ToString()) << key;
+    const double sum = truth.values[2].AsNumber();
+    EXPECT_NEAR(row.values[2].AsNumber(), sum, 1e-6 * (1.0 + std::fabs(sum)))
+        << key;
+  }
 }
 
 TEST(SpillSystemTest, InjectedSpillFaultNeverCrashesAndDentsFidelity) {
   const SystemOutcome unbounded =
-      RunSpillSystem(0, /*columnar=*/true, 0, "");
+      RunSpillSystem(0, 0, "");
   SpillFaultSpec faults;
   faults.write_fail = 0.7;
   const SystemOutcome faulty = RunSpillSystem(
-      0, /*columnar=*/true, unbounded.peak / 8, SpillDir("system_fault"),
+      0, unbounded.peak / 8, SpillDir("system_fault"),
       /*staging_budget=*/0, faults);
   EXPECT_GT(faulty.stats.spill_write_failures, 0u);
   EXPECT_GT(faulty.stats.events_shed, 0u);
@@ -503,7 +556,7 @@ TEST(SpillSystemTest, InjectedSpillFaultNeverCrashesAndDentsFidelity) {
 
 TEST(SpillSystemTest, AgentStagingBudgetShedIsCountedIntoFidelity) {
   const SystemOutcome pressured = RunSpillSystem(
-      0, /*columnar=*/true, 0, "", /*staging_budget=*/2 * 1024);
+      0, 0, "", /*staging_budget=*/2 * 1024);
   EXPECT_GT(pressured.stats.agent_events_shed, 0u);
   EXPECT_LT(pressured.stats.fidelity_min, 1.0);
   EXPECT_NE(pressured.describe.find("agent_shed="), std::string::npos);
@@ -516,10 +569,10 @@ TEST(SpillSystemTest, AgentStagingBudgetShedIsCountedIntoFidelity) {
 
 TEST(SpillSystemTest, AgentStagingShedIsDeterministicAcrossWorkers) {
   const SystemOutcome reference = RunSpillSystem(
-      0, /*columnar=*/true, 0, "", /*staging_budget=*/2 * 1024);
+      0, 0, "", /*staging_budget=*/2 * 1024);
   for (const size_t workers : {size_t{2}, size_t{8}}) {
     const SystemOutcome other = RunSpillSystem(
-        workers, /*columnar=*/true, 0, "", /*staging_budget=*/2 * 1024);
+        workers, 0, "", /*staging_budget=*/2 * 1024);
     EXPECT_EQ(other.transcript, reference.transcript)
         << "workers=" << workers;
   }
@@ -527,9 +580,9 @@ TEST(SpillSystemTest, AgentStagingShedIsDeterministicAcrossWorkers) {
 
 TEST(SpillSystemTest, ExplainAnalyzeReportsBudgetsAndSpill) {
   const SystemOutcome unbounded =
-      RunSpillSystem(0, /*columnar=*/true, 0, "");
+      RunSpillSystem(0, 0, "");
   const SystemOutcome budgeted = RunSpillSystem(
-      0, /*columnar=*/true, unbounded.peak / 8, SpillDir("system_explain"));
+      0, unbounded.peak / 8, SpillDir("system_explain"));
   EXPECT_NE(budgeted.explain_analyze.find("state bytes:"), std::string::npos);
   EXPECT_NE(budgeted.explain_analyze.find("budget="), std::string::npos);
   EXPECT_NE(budgeted.explain_analyze.find("spill:"), std::string::npos);

@@ -97,8 +97,8 @@ TSAN_DIR="${REPO}/build-tsan"
 # merge_algebra_test and the hierarchical halves of the determinism /
 # differential / chaos suites drive the combiner tier; the worker-pool
 # hierarchical runs are what TSan is here for. The columnar-join suites
-# (parallel_determinism_test's JoinPipelines* and differential_test's
-# JoinColumnarStagingAcrossWorkerCounts) exercise the sharded kColumnarJoin
+# (parallel_determinism_test's JoinTranscript* and differential_test's
+# JoinAcrossWorkerCounts) exercise the sharded kColumnarJoin
 # re-bucket — parallel decode plus shared read-only sections — at workers
 # {2, 8}, so those binaries double as the join-path race check. metrics_test
 # rides along for the operator-metrics plane: sharded shard->coordinator
