@@ -1,7 +1,7 @@
 #include "src/agent/agent.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "src/event/wire.h"
 #include "src/plan/vectorized.h"
@@ -57,25 +57,26 @@ void ScrubAgent::CountShed(ActiveQuery& q, TimeMicros ts) {
   ++counter.shed;
 }
 
-void ScrubAgent::Stage(ActiveQuery& q, size_t source, const Event& event) {
-  if (q.columns.empty()) {
-    q.columns.resize(q.plan.sources.size());
-  }
-  if (q.columns[source] == nullptr) {
-    q.columns[source] = std::make_unique<ColumnBatch>(event.schema());
-  }
-  // Row cap first, then the byte budget. Staging keeps the un-projected
-  // event until the flush pre-pass, so the budget is charged at the full
-  // wire size. Both degrade the same way: drop, count, never block the
-  // application thread.
-  if (StagedColumnRows(q) >= config_.staging_capacity ||
+void ScrubAgent::Stage(ActiveQuery& q, size_t source, const Event& event,
+                       int64_t* shared_row) {
+  // Row cap first, then the byte budget, both over the query's own staged
+  // events. Staging keeps the un-projected event until the flush pre-pass,
+  // so the budget is charged at the full wire size. Both degrade the same
+  // way: drop, count, never block the application thread.
+  if (StagedRows(q) >= config_.staging_capacity ||
       (staging_accountant_.active() &&
        !staging_accountant_.TryCharge(q.plan.query_id, event.WireSize()))) {
     ++q.stats.events_dropped;
     CountShed(q, event.timestamp());
     return;
   }
-  q.columns[source]->AppendEvent(event);
+  if (*shared_row < 0) {
+    ColumnBatch& batch =
+        shared_.try_emplace(event.type_name(), event.schema()).first->second;
+    batch.AppendEvent(event);
+    *shared_row = static_cast<int64_t>(batch.rows()) - 1;
+  }
+  q.staged_rows[source].push_back(static_cast<uint32_t>(*shared_row));
   if (q.plan.sources.size() > 1) {
     q.staging_order.push_back(static_cast<uint8_t>(source));
   }
@@ -92,6 +93,7 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
                c.log_per_field_ns * static_cast<int64_t>(event.field_count());
 
   const TimeMicros ts = event.timestamp();
+  int64_t shared_row = -1;  // appended to shared_ by the first accepting query
   for (auto& [qid, q] : queries_) {
     // Span check: cheap, and implements local self-expiry.
     if (ts < q.plan.start_time || ts >= q.plan.end_time) {
@@ -104,8 +106,9 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
     ++q.stats.events_considered;
 
     // Window counters: M_i before anything else.
-    WindowCounter& counter = q.pending_counters[WindowStartFor(q, ts)];
-    counter.window_start = WindowStartFor(q, ts);
+    const TimeMicros window_start = WindowStartFor(q, ts);
+    WindowCounter& counter = q.pending_counters[window_start];
+    counter.window_start = window_start;
     ++counter.seen;
 
     // 1. Event sampling, before any predicate work.
@@ -142,12 +145,14 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
       continue;
     }
 
-    // 2. Staging: append the sampled event to its source's column batch
-    // and defer selection + projection to the vectorized flush pre-pass.
-    // Only the enqueue cost is paid at log() time; the predicate and
-    // projection charges are paid at flush, where the work actually runs.
+    // 2. Staging: record the sampled event's row in the shared batch for
+    // its type (appending it on first use) and defer selection + projection
+    // to the vectorized flush pre-pass. Only the enqueue cost is paid at
+    // log() time, per query; the predicate and projection charges are paid
+    // at flush, where the work actually runs.
     ns += c.enqueue_ns;
-    Stage(q, static_cast<size_t>(sp - q.plan.sources.data()), event);
+    Stage(q, static_cast<size_t>(sp - q.plan.sources.data()), event,
+          &shared_row);
   }
 
   meter_->ChargeScrub(ns);
@@ -172,10 +177,10 @@ void ScrubAgent::HoldForRetransmit(ActiveQuery& q, QueryId query_id,
   }
 }
 
-size_t ScrubAgent::StagedColumnRows(const ActiveQuery& q) const {
+size_t ScrubAgent::StagedRows(const ActiveQuery& q) const {
   size_t rows = 0;
-  for (const std::unique_ptr<ColumnBatch>& b : q.columns) {
-    rows += b == nullptr ? 0 : b->rows();
+  for (const std::vector<uint32_t>& r : q.staged_rows) {
+    rows += r.size();
   }
   return rows;
 }
@@ -183,10 +188,10 @@ size_t ScrubAgent::StagedColumnRows(const ActiveQuery& q) const {
 std::vector<uint32_t> ScrubAgent::SelectStaged(ActiveQuery& q,
                                                const HostSourcePlan& sp,
                                                const ColumnBatch& cols,
+                                               std::vector<uint32_t> selection,
                                                int64_t* ns) {
   const CostModel& c = config_.costs;
-  std::vector<uint32_t> selection(cols.rows());
-  std::iota(selection.begin(), selection.end(), 0U);
+  const size_t staged = selection.size();
   if (sp.never_matches) {
     selection.clear();
   }
@@ -198,7 +203,7 @@ std::vector<uint32_t> ScrubAgent::SelectStaged(ActiveQuery& q,
            static_cast<int64_t>(selection.size());
     EvalProgramPredicateBatch(program, cols, &selection);
   }
-  q.stats.events_filtered += cols.rows() - selection.size();
+  q.stats.events_filtered += staged - selection.size();
   q.stats.events_staged += selection.size();
   // Projection is column selection on the wire: charged per surviving row,
   // never materialized.
@@ -237,16 +242,15 @@ void ScrubAgent::EmitBatch(QueryId query_id, ActiveQuery& q,
 void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
                               TimeMicros now,
                               std::vector<EventBatch>* batches) {
-  if (q.columns.empty() || q.columns[0] == nullptr ||
-      q.columns[0]->rows() == 0) {
+  if (q.staged_rows[0].empty()) {
     return;
   }
   const HostSourcePlan& sp = q.plan.sources[0];
-  ColumnBatch cols = std::move(*q.columns[0]);
-  *q.columns[0] = ColumnBatch(cols.schema());
+  const ColumnBatch& cols = shared_.at(sp.event_type);
 
   int64_t ns = 0;
-  const std::vector<uint32_t> selection = SelectStaged(q, sp, cols, &ns);
+  const std::vector<uint32_t> selection =
+      SelectStaged(q, sp, cols, std::exchange(q.staged_rows[0], {}), &ns);
   meter_->ChargeScrub(ns);
 
   const size_t max_batch = EffectiveBatch(q);
@@ -270,37 +274,38 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     return;
   }
   const size_t num_sources = q.plan.sources.size();
-  std::vector<std::unique_ptr<ColumnBatch>> staged = std::move(q.columns);
-  q.columns.clear();
-  std::vector<uint8_t> order = std::move(q.staging_order);
-  q.staging_order.clear();
+  std::vector<uint8_t> order = std::exchange(q.staging_order, {});
 
   int64_t ns = 0;
-  std::vector<std::vector<bool>> survived(num_sources);
+  std::vector<const ColumnBatch*> batch_of(num_sources, nullptr);
+  std::vector<std::vector<uint32_t>> staged(num_sources);
+  std::vector<std::vector<uint32_t>> survivors(num_sources);
   for (size_t si = 0; si < num_sources; ++si) {
-    if (staged[si] == nullptr || staged[si]->rows() == 0) {
+    staged[si] = std::exchange(q.staged_rows[si], {});
+    if (staged[si].empty()) {
       continue;
     }
-    const ColumnBatch& cols = *staged[si];
-    survived[si].assign(cols.rows(), false);
-    for (const uint32_t r :
-         SelectStaged(q, q.plan.sources[si], cols, &ns)) {
-      survived[si][r] = true;
-    }
+    batch_of[si] = &shared_.at(q.plan.sources[si].event_type);
+    survivors[si] =
+        SelectStaged(q, q.plan.sources[si], *batch_of[si], staged[si], &ns);
   }
   meter_->ChargeScrub(ns);
 
   // Walk the arrival interleave once: surviving events keep the order the
-  // host logged them in.
+  // host logged them in. Each source's staged rows and survivors are both
+  // ascending, so one cursor into each decides survival.
   struct Arrival {
     uint8_t source;
     uint32_t row;
   };
   std::vector<Arrival> arrivals;
-  std::vector<uint32_t> cursor(num_sources, 0);
+  std::vector<size_t> cursor(num_sources, 0);
+  std::vector<size_t> next_survivor(num_sources, 0);
   for (const uint8_t s : order) {
-    const uint32_t r = cursor[s]++;
-    if (!survived[s].empty() && survived[s][r]) {
+    const uint32_t r = staged[s][cursor[s]++];
+    if (next_survivor[s] < survivors[s].size() &&
+        survivors[s][next_survivor[s]] == r) {
+      ++next_survivor[s];
       arrivals.push_back({s, r});
     }
   }
@@ -332,7 +337,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
       }
       section_of[si] = static_cast<int>(sections.size());
       ColumnJoinSection section;
-      section.batch = staged[si].get();
+      section.batch = batch_of[si];
       section.selection = chunk_rows[si].data();
       section.selected = chunk_rows[si].size();
       section.keep_field = &q.plan.sources[si].keep_field;
@@ -482,6 +487,8 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
       ++it;
     }
   }
+  // Every query drained its rows above, so the shared staging restarts.
+  shared_.clear();
   return batches;
 }
 
@@ -554,6 +561,14 @@ size_t ScrubAgent::pending_retransmits() const {
   size_t n = 0;
   for (const auto& [qid, held] : retransmit_) {
     n += held.size();
+  }
+  return n;
+}
+
+size_t ScrubAgent::shared_staged_events() const {
+  size_t n = 0;
+  for (const auto& [type, batch] : shared_) {
+    n += batch.rows();
   }
   return n;
 }

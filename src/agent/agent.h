@@ -2,8 +2,10 @@
 //
 // The agent is the only Scrub code that runs on application hosts, and it is
 // deliberately tiny: for each log() call it does (at most) an event-sampling
-// coin flip and an append to the query's per-source column batch; a flush
-// then runs the host-side selection conjuncts vectorized, projects by
+// coin flip per query and one append to the host's shared staging batch for
+// the event's type, however many queries accept the event; each accepting
+// query records only the row index. A flush then runs each query's
+// host-side selection conjuncts vectorized over its own rows, projects by
 // column selection, and ships the survivors in the columnar wire format.
 // Joins, grouping and aggregation never run here (Section 4). Three
 // protective properties the paper calls out:
@@ -28,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -208,21 +209,24 @@ class ScrubAgent {
 
   const AgentQueryStats* StatsFor(QueryId query_id) const;
   uint64_t total_events_logged() const { return total_events_logged_; }
+  // Events held in shared staging: each counts once, however many queries
+  // staged it. Zero after every flush.
+  size_t shared_staged_events() const;
 
  private:
   struct ActiveQuery {
     HostPlan plan;
-    // Sampled events append here un-filtered; selection and projection run
-    // vectorized at flush. One staging batch per plan source (lazily sized
-    // to plan.sources, each batch lazily created from its first matching
-    // event's schema — the agent holds no SchemaRegistry). Single-source
-    // plans use slot 0; joins stage every source and record the arrival
-    // interleave in `staging_order` so the central join folds events in
-    // the order they were logged.
-    std::vector<std::unique_ptr<ColumnBatch>> columns;
-    // Source index of each column-staged event, in arrival order. Only
-    // maintained for multi-source plans (a single source's arrival order is
-    // its batch's row order).
+    // The query's selection vector over the host's shared staging: one
+    // ascending list of row indices into shared_[source type] per plan
+    // source. A sampled event's row lands here un-filtered; selection and
+    // projection run vectorized at flush over these rows only. Single-source
+    // plans use slot 0; joins record the arrival interleave in
+    // `staging_order` so the central join folds events in the order they
+    // were logged.
+    std::vector<std::vector<uint32_t>> staged_rows;
+    // Source index of each staged event, in arrival order. Only maintained
+    // for multi-source plans (a single source's arrival order is its row
+    // list's order).
     std::vector<uint8_t> staging_order;
     // Counter deltas keyed by window start, flushed incrementally.
     std::map<TimeMicros, WindowCounter> pending_counters;
@@ -241,7 +245,8 @@ class ScrubAgent {
     size_t batch_override = 0;
     AgentQueryStats stats;
 
-    explicit ActiveQuery(const HostPlan& p) : plan(p) {}
+    explicit ActiveQuery(const HostPlan& p)
+        : plan(p), staged_rows(p.sources.size()) {}
   };
 
   // A flushed batch awaiting its ack.
@@ -252,19 +257,25 @@ class ScrubAgent {
     int attempts = 0;
   };
 
-  // Appends one sampled event to its source's staging batch, or sheds and
-  // counts it when the query's staging is full in rows or bytes.
-  void Stage(ActiveQuery& q, size_t source, const Event& event);
+  // Stages one sampled event for one of the query's sources, or sheds and
+  // counts it when the query's own staging is full in rows or bytes.
+  // `shared_row` is the event's row in its type's shared batch, or -1 until
+  // the first accepting query appends it there.
+  void Stage(ActiveQuery& q, size_t source, const Event& event,
+             int64_t* shared_row);
 
-  // Vectorized selection over one source's staged batch: each conjunct
-  // compacts the selection vector and is charged (into `ns`) only for the
+  // Vectorized selection over one source's staged rows of `cols`: each
+  // conjunct compacts `selection` and is charged (into `ns`) only for the
   // rows that reached it, projection per surviving row. Counts the filtered
   // and surviving rows and returns the survivors in row order.
   std::vector<uint32_t> SelectStaged(ActiveQuery& q, const HostSourcePlan& sp,
-                                     const ColumnBatch& cols, int64_t* ns);
+                                     const ColumnBatch& cols,
+                                     std::vector<uint32_t> selection,
+                                     int64_t* ns);
 
-  // Vectorized flush for a single-source query: filter + project the staged
-  // ColumnBatch and append the resulting wire batches to `batches`.
+  // Vectorized flush for a single-source query: filter + project its staged
+  // rows of the shared batch and append the resulting wire batches to
+  // `batches`.
   void FlushColumns(QueryId query_id, ActiveQuery& q, TimeMicros now,
                     std::vector<EventBatch>* batches);
 
@@ -276,8 +287,8 @@ class ScrubAgent {
   void FlushColumnJoin(QueryId query_id, ActiveQuery& q, TimeMicros now,
                        std::vector<EventBatch>* batches);
 
-  // Total rows staged across a query's per-source batches.
-  size_t StagedColumnRows(const ActiveQuery& q) const;
+  // Total rows staged across a query's sources.
+  size_t StagedRows(const ActiveQuery& q) const;
 
   // Per-query flush chunk cap: the adaptive override when set, else the
   // configured default.
@@ -323,8 +334,15 @@ class ScrubAgent {
   Rng retry_rng_;
   uint64_t epoch_;
   // Wire bytes staged per query, against staging_budget_bytes. Released
-  // when a flush drains the query's staging batches.
+  // when a flush drains the query's staged rows.
   MemoryAccountant staging_accountant_;
+  // One staging batch per event type, shared by every column-staged query:
+  // an event is appended at most once however many queries accept it, and
+  // each query keeps only its row indices (ActiveQuery::staged_rows). Each
+  // batch is created from the first staged event's schema (the agent holds
+  // no SchemaRegistry) and cleared after every flush, which drains all
+  // queries completely.
+  std::unordered_map<std::string, ColumnBatch> shared_;
   std::unordered_map<QueryId, ActiveQuery> queries_;
   std::unordered_map<QueryId, AgentQueryStats> retired_stats_;
   // Retransmit buffers outlive query retirement: the final flush's batches
