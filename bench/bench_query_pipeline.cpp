@@ -136,9 +136,10 @@ void BM_PredicateEval(benchmark::State& state) {
       *registry, options);
   Result<CompiledExpr> pred =
       CompileExpr(*aq->query.where, aq->query.sources, aq->schemas);
+  Result<ExprProgram> program = LowerExpr(*pred, aq->schemas);
   const Event e = MakeBidEvent(*registry, 42, 100);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(EvalPredicateSingle(*pred, e));
+    benchmark::DoNotOptimize(EvalProgramPredicateSingle(*program, e));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }

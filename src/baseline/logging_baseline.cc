@@ -117,13 +117,14 @@ Result<LoggingPipeline::BatchAnswer> LoggingPipeline::RunQuery(
     if (sp == nullptr) {
       continue;
     }
-    bool pass = true;
-    for (const CompiledExpr& conjunct : sp->conjuncts) {
-      ns += config_.costs.predicate_term_ns * conjunct.node_count;
-      if (!EvalPredicateSingle(conjunct, se.event)) {
-        pass = false;
+    bool pass = !sp->never_matches;
+    for (const ExprProgram& program : sp->programs) {
+      if (!pass) {
         break;
       }
+      ns += config_.costs.predicate_term_ns *
+            static_cast<int64_t>(program.insts.size());
+      pass = EvalProgramPredicateSingle(program, se.event);
     }
     if (pass) {
       matched[se.host].push_back(se.event);

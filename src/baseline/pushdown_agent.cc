@@ -33,8 +33,9 @@ Result<PushdownPlan> BuildPushdownPlan(const AnalyzedQuery& analyzed,
   PushdownPlan out;
   out.query_id = query_id;
   out.event_type = q.sources[0];
-  out.conjuncts = std::move(plan->host.sources[0].conjuncts);
-  out.group_by = std::move(plan->central.group_by);
+  out.programs = std::move(plan->host.sources[0].programs);
+  out.never_matches = plan->host.sources[0].never_matches;
+  out.group_by_programs = std::move(plan->central.group_by_programs);
   out.aggregates = std::move(plan->central.aggregates);
   out.outputs = std::move(plan->central.outputs);
   out.window_micros = plan->central.window_micros;
@@ -108,25 +109,25 @@ int64_t PushdownAgent::LogEvent(const Event& event) {
       continue;
     }
     // Selection: identical to Scrub's host-side cost.
-    bool pass = true;
-    for (const CompiledExpr& conjunct : q.plan.conjuncts) {
-      ns += costs_.predicate_term_ns * conjunct.node_count;
-      if (!EvalPredicateSingle(conjunct, event)) {
-        pass = false;
+    bool pass = !q.plan.never_matches;
+    for (const ExprProgram& program : q.plan.programs) {
+      if (!pass) {
         break;
       }
+      ns += costs_.predicate_term_ns *
+            static_cast<int64_t>(program.insts.size());
+      pass = EvalProgramPredicateSingle(program, event);
     }
     if (!pass) {
       continue;
     }
     // Group-by + aggregation ON THE HOST — the work Scrub refuses to do
     // here.
-    EventTuple tuple{&event};
     std::vector<Value> key;
-    key.reserve(q.plan.group_by.size());
-    for (const CompiledExpr& g : q.plan.group_by) {
-      ns += costs_.predicate_term_ns * g.node_count;
-      key.push_back(EvalExpr(g, tuple));
+    key.reserve(q.plan.group_by_programs.size());
+    for (const ExprProgram& g : q.plan.group_by_programs) {
+      ns += costs_.predicate_term_ns * static_cast<int64_t>(g.insts.size());
+      key.push_back(EvalProgramSingle(g, event));
     }
     auto& groups = q.windows[WindowStartFor(q, ts)];
     GroupPartial& partial = groups[key];
@@ -143,7 +144,7 @@ int64_t PushdownAgent::LogEvent(const Event& event) {
       ns += costs_.central_group_update_ns;  // same unit work, host-side now
       Value arg;
       if (spec.has_arg) {
-        arg = EvalExpr(spec.arg, tuple);
+        arg = EvalProgramSingle(spec.arg_program, event);
         if (arg.is_null()) {
           continue;
         }

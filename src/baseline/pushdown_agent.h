@@ -34,11 +34,15 @@
 
 namespace scrub {
 
+// Executes the planner's IR, exactly as ScrubAgent does: the host filter's
+// programs (never_matches set when the WHERE is provably unsatisfiable),
+// the group-key programs and each aggregate's arg_program.
 struct PushdownPlan {
   QueryId query_id = 0;
   std::string event_type;
-  std::vector<CompiledExpr> conjuncts;
-  std::vector<CompiledExpr> group_by;
+  std::vector<ExprProgram> programs;
+  bool never_matches = false;
+  std::vector<ExprProgram> group_by_programs;
   std::vector<AggregateSpec> aggregates;
   std::vector<OutputColumn> outputs;
   TimeMicros window_micros = 0;

@@ -717,7 +717,11 @@ class Linter {
         if (!compiled.ok()) {
           continue;  // admission rejects it elsewhere
         }
-        ExprProgram program = LowerExpr(*compiled, single_schema);
+        Result<ExprProgram> lowered = LowerExpr(*compiled, single_schema);
+        if (!lowered.ok()) {
+          continue;  // admission rejects it elsewhere
+        }
+        ExprProgram program = std::move(lowered).value();
         const ProgramAnalysis analysis = AnalyzeProgram(program);
         if (analysis.predicate == PredicateClass::kAlwaysFalse) {
           Emit(LintSeverity::kWarning, lint_rules::kFilterContradiction,

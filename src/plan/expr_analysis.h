@@ -8,9 +8,8 @@
 //    is a sound over-approximation), pool indexes valid, jump targets
 //    forward and in bounds, type tags well-formed for their opcode, result
 //    register defined. Lowering runs it on every program it builds; a
-//    failure is a planner bug, and under debug or SCRUB_IR_VERIFY builds
-//    (tools/check.sh runs a dedicated pass; sanitizer flavors enable it
-//    automatically) it aborts the process instead of shipping a broken
+//    failure is a planner bug, and LowerExpr returns it as an error in every
+//    build, so admission rejects the query instead of shipping a broken
 //    program to the fleet.
 //
 //  * AnalyzeProgram — a forward abstract interpreter over a product domain:

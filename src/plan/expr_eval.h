@@ -1,11 +1,12 @@
-// Compiled expression evaluation.
+// Compiled expressions and the operator semantics they execute with.
 //
 // The analyzer's AST is convenient for validation but references fields by
 // name. Before a query object ships to hosts (where evaluation is the hot
 // path the paper works hardest to keep cheap), expressions are compiled into
 // a tree whose field references carry pre-resolved (source index, field
-// index) pairs — evaluation does no string work. The compiler also counts
-// nodes so the simulation can charge a deterministic CPU cost per evaluation.
+// index) pairs. The tree is not executed: it is the input LowerExpr
+// (expr_ir.h) flattens into the verified IR every evaluator runs, and the
+// form EXPLAIN and the query-object size model read.
 
 #ifndef SRC_PLAN_EXPR_EVAL_H_
 #define SRC_PLAN_EXPR_EVAL_H_
@@ -44,7 +45,7 @@ struct CompiledExpr {
   std::vector<CompiledExpr> children;  // operands; for kInList: [probe]
   std::vector<Value> in_list;          // kInList members
 
-  // Number of nodes in this subtree (cost accounting).
+  // Number of nodes in this subtree (query-object size model, EXPLAIN).
   int node_count = 1;
 };
 
@@ -54,19 +55,6 @@ struct CompiledExpr {
 Result<CompiledExpr> CompileExpr(const Expr& expr,
                                  const std::vector<std::string>& sources,
                                  const std::vector<SchemaPtr>& schemas);
-
-// Evaluates against a tuple. Events may be null only for sources the
-// expression does not touch. Comparisons involving null values yield false
-// (SQL-ish semantics without tri-state logic); arithmetic on null yields
-// null, which propagates.
-Value EvalExpr(const CompiledExpr& expr, const EventTuple& tuple);
-
-// Convenience for single-source host-side evaluation.
-Value EvalExprSingle(const CompiledExpr& expr, const Event& event);
-
-// True iff the expression evaluates to boolean true.
-bool EvalPredicate(const CompiledExpr& expr, const EventTuple& tuple);
-bool EvalPredicateSingle(const CompiledExpr& expr, const Event& event);
 
 // Operator semantics shared with output-expression evaluation at
 // ScrubCentral (e.g. 1000 * AVG(cost) over finalized aggregates).

@@ -1,7 +1,5 @@
 #include "src/plan/expr_ir.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <utility>
 
@@ -410,18 +408,14 @@ class Lowering {
 
 }  // namespace
 
-ExprProgram LowerExpr(const CompiledExpr& expr,
-                      const std::vector<SchemaPtr>& schemas, bool fold) {
+Result<ExprProgram> LowerExpr(const CompiledExpr& expr,
+                              const std::vector<SchemaPtr>& schemas,
+                              bool fold) {
   Lowering lowering(schemas, fold);
   ExprProgram program = lowering.Run(expr);
-  const Status verdict = VerifyProgram(program);
-  if (!verdict.ok()) {
-#if !defined(NDEBUG) || defined(SCRUB_IR_VERIFY)
-    std::fprintf(stderr, "IR verifier rejected a lowered program: %s\n%s",
-                 verdict.ToString().c_str(),
-                 ProgramToString(program).c_str());
-    std::abort();
-#endif
+  if (Status verdict = VerifyProgram(program); !verdict.ok()) {
+    return InternalError("IR verifier rejected a lowered program: " +
+                         verdict.message());
   }
   return program;
 }

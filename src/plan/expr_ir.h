@@ -7,18 +7,19 @@
 // argument for pushing work toward query admission. LowerExpr flattens a
 // CompiledExpr into a linear program over virtual registers with
 // pre-resolved constant/list/path pools and a schema-derived type tag per
-// instruction. The same program drives the row evaluator, the single-event
-// host path, and the vectorized columnar kernels (one lowering, so row and
-// columnar semantics cannot drift), and it is the substrate the static
-// analysis in expr_analysis.h runs on: the verifier, the abstract
-// interpreter, constant folding, and the semantic lint rules all consume
-// this IR.
+// instruction. It is the only form the product executes: the same program
+// drives the row evaluator, the single-event host path, and the vectorized
+// columnar kernels (one lowering, so row and columnar semantics cannot
+// drift), and it is the substrate the static analysis in expr_analysis.h
+// runs on: the verifier, the abstract interpreter, constant folding, and the
+// semantic lint rules all consume this IR.
 //
-// Operator semantics are exactly EvalExpr's: every binary/unary instruction
-// routes through ApplyBinaryOp/ApplyUnaryOp, and AND/OR lower to the same
-// coerce-then-short-circuit sequence EvalBinary performs (operands are
-// side-effect-free, so strict and short-circuit evaluation agree on values;
-// the jumps only skip work).
+// Operator semantics: every binary/unary instruction routes through
+// ApplyBinaryOp/ApplyUnaryOp, and AND/OR lower to a coerce-then-short-circuit
+// sequence (operands are side-effect-free, so strict and short-circuit
+// evaluation agree on values; the jumps only skip work). The tree walker in
+// tests/tree_eval.h is the oracle the randomized differential holds every
+// execution path equal to.
 
 #ifndef SRC_PLAN_EXPR_IR_H_
 #define SRC_PLAN_EXPR_IR_H_
@@ -123,13 +124,15 @@ struct ExprProgram {
 // type tags. With `fold` (the default), subtrees whose value is decidable at
 // install time collapse to a single kConst — including short-circuit
 // collapses such as `x AND false` — using the evaluator's own operator
-// implementations, so folding cannot drift from evaluation. The verifier
-// runs on every lowering; see expr_analysis.h for the hard-fail contract.
-ExprProgram LowerExpr(const CompiledExpr& expr,
-                      const std::vector<SchemaPtr>& schemas,
-                      bool fold = true);
+// implementations, so folding cannot drift from evaluation. Every lowering
+// is verified (VerifyProgram, expr_analysis.h); a rejection is an internal
+// error the caller turns into an admission failure, in every build, so no
+// unverified program exists outside this function.
+Result<ExprProgram> LowerExpr(const CompiledExpr& expr,
+                              const std::vector<SchemaPtr>& schemas,
+                              bool fold = true);
 
-// Row-oriented execution (the EvalExpr twins).
+// Row-oriented execution.
 Value EvalProgram(const ExprProgram& program, const EventTuple& tuple);
 Value EvalProgramSingle(const ExprProgram& program, const Event& event);
 bool EvalProgramPredicate(const ExprProgram& program, const EventTuple& tuple);

@@ -36,13 +36,17 @@ namespace {
 
 // Lower to the IR and apply the analysis-driven constant fold. Every
 // consumer (host filter, group keys, raw select, aggregate args) goes
-// through this one helper, so all evaluators execute the same lowering.
-ExprProgram LowerOptimized(const CompiledExpr& expr,
-                           const std::vector<SchemaPtr>& schemas,
-                           PredicateClass* predicate = nullptr) {
-  ExprProgram program = LowerExpr(expr, schemas);
-  const ProgramAnalysis analysis = AnalyzeProgram(program);
-  FoldProgram(&program, analysis);
+// through this one helper, so all evaluators execute the same lowering; a
+// verifier rejection fails the plan, and with it admission.
+Result<ExprProgram> LowerOptimized(const CompiledExpr& expr,
+                                   const std::vector<SchemaPtr>& schemas,
+                                   PredicateClass* predicate = nullptr) {
+  Result<ExprProgram> program = LowerExpr(expr, schemas);
+  if (!program.ok()) {
+    return program;
+  }
+  const ProgramAnalysis analysis = AnalyzeProgram(*program);
+  FoldProgram(&*program, analysis);
   if (predicate != nullptr) {
     *predicate = analysis.predicate;
   }
@@ -101,13 +105,16 @@ class Planner {
         // Lower/fold for the hot path: an always-true conjunct drops out, an
         // always-false one makes the whole source filter unsatisfiable.
         PredicateClass cls = PredicateClass::kUnknown;
-        ExprProgram program =
+        Result<ExprProgram> program =
             LowerOptimized(*compiled, single_schema, &cls);
+        if (!program.ok()) {
+          return program.status();
+        }
         if (cls == PredicateClass::kAlwaysFalse) {
           sp.never_matches = true;
         }
         if (cls == PredicateClass::kUnknown) {
-          sp.programs.push_back(std::move(program));
+          sp.programs.push_back(std::move(program).value());
         }
         sp.conjuncts.push_back(std::move(compiled).value());
       }
@@ -171,8 +178,11 @@ class Planner {
         if (!compiled.ok()) {
           return compiled.status();
         }
-        central->raw_select_programs.push_back(
-            LowerOptimized(*compiled, aq_.schemas));
+        Result<ExprProgram> program = LowerOptimized(*compiled, aq_.schemas);
+        if (!program.ok()) {
+          return program.status();
+        }
+        central->raw_select_programs.push_back(std::move(program).value());
         central->raw_select.push_back(std::move(compiled).value());
       }
       return OkStatus();
@@ -184,8 +194,11 @@ class Planner {
       if (!compiled.ok()) {
         return compiled.status();
       }
-      central->group_by_programs.push_back(
-          LowerOptimized(*compiled, aq_.schemas));
+      Result<ExprProgram> program = LowerOptimized(*compiled, aq_.schemas);
+      if (!program.ok()) {
+        return program.status();
+      }
+      central->group_by_programs.push_back(std::move(program).value());
       central->group_by.push_back(std::move(compiled).value());
     }
 
@@ -222,8 +235,12 @@ class Planner {
           if (!arg.ok()) {
             return arg.status();
           }
+          Result<ExprProgram> program = LowerOptimized(*arg, aq_.schemas);
+          if (!program.ok()) {
+            return program.status();
+          }
           spec.has_arg = true;
-          spec.arg_program = LowerOptimized(*arg, aq_.schemas);
+          spec.arg_program = std::move(program).value();
           spec.arg = std::move(arg).value();
         }
         out.kind = OutputKind::kAggregate;

@@ -40,16 +40,16 @@ struct HostSourcePlan {
   int source_index = 0;  // position in the query's FROM list
 
   // Selection: conjuncts compiled against this single source; an event must
-  // satisfy all of them to be shipped. The tree form is kept for the wire
-  // size model, explain, and the logging baselines (which intentionally stay
-  // on the tree evaluator as a differential backstop).
+  // satisfy all of them to be shipped. The tree form is not executed: it is
+  // kept for the wire size model and explain.
   std::vector<CompiledExpr> conjuncts;
-  int predicate_nodes = 0;  // total compiled nodes, for CPU cost accounting
+  int predicate_nodes = 0;  // total compiled nodes, for the wire size model
 
   // The same conjuncts lowered to the typed IR, constant-folded, with
   // always-true and implied (dead) conjuncts pruned — what the agent hot
-  // path actually executes. When the analysis proves the conjunct set
-  // unsatisfiable, never_matches is set and the agent ships nothing.
+  // path and the baselines actually execute. When the analysis proves the
+  // conjunct set unsatisfiable, never_matches is set and the agent ships
+  // nothing.
   std::vector<ExprProgram> programs;
   bool never_matches = false;
 
@@ -109,7 +109,7 @@ struct AggregateSpec {
   AggregateFunc func = AggregateFunc::kCount;
   int64_t topk_k = 0;
   bool has_arg = false;
-  CompiledExpr arg;       // tree form, kept for explain / baselines
+  CompiledExpr arg;         // tree form, kept for explain
   ExprProgram arg_program;  // lowered+folded form the executor evaluates
 
   // COUNT/SUM estimates are scaled up under sampling (Eq. 1); AVG is a ratio

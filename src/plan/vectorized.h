@@ -1,12 +1,14 @@
-// Vectorized expression evaluation over columnar batches.
+// Vectorized kernels over columnar batches, used by the IR's batch
+// executors:
 //
-// These are the batch-oriented twins of EvalExpr/EvalPredicate: identical
-// operator semantics (they delegate to ApplyBinaryOp and mirror EvalExpr's
-// null/short-circuit rules node for node), but driven by a selection vector
-// over a ColumnBatch instead of one Event at a time. EvalPredicateBatch is
-// the agent-flush and central-ingest hot loop: a conjunct compacts the
-// selection in place, and simple `field <cmp> literal` conjuncts run the
-// branch-free RunCompareKernel below instead of boxing a Value per row.
+//  * RunCompareKernel — the branch-free `field <cmp> literal` selection
+//    kernel EvalProgramPredicateBatch dispatches to instead of boxing a
+//    Value per row;
+//  * FoldColumns — batched group-key / aggregate-argument evaluation at
+//    central ingest.
+//
+// Operator semantics are the IR's (ApplyBinaryOp): the kernels probe it for
+// their verdicts rather than restating them.
 
 #ifndef SRC_PLAN_VECTORIZED_H_
 #define SRC_PLAN_VECTORIZED_H_
@@ -19,22 +21,6 @@
 #include "src/plan/expr_ir.h"
 
 namespace scrub {
-
-// Evaluates a single-source compiled expression at `row` of the batch.
-// Exactly EvalExprSingle's semantics; expr.source must be 0.
-Value EvalExprColumns(const CompiledExpr& expr, const ColumnBatch& batch,
-                      size_t row);
-
-// True iff the expression evaluates to boolean true at `row`.
-bool EvalPredicateColumns(const CompiledExpr& expr, const ColumnBatch& batch,
-                          size_t row);
-
-// Filters `selection` (row indices into `batch`, in order) down to the rows
-// where the predicate holds, compacting in place and preserving order.
-// Calling this once per conjunct over a shrinking selection is the columnar
-// mirror of the row path's per-event short-circuit conjunct loop.
-void EvalPredicateBatch(const CompiledExpr& expr, const ColumnBatch& batch,
-                        std::vector<uint32_t>* selection);
 
 // ---- Branch-free selection-vector kernels ----------------------------------
 

@@ -1,4 +1,5 @@
-// Expression-IR unit tests: the structural verifier's rejection contract,
+// Expression-IR unit tests: the structural verifier's rejection contract
+// (and LowerExpr returning a rejection as an error in every build),
 // install-time constant folding, abstract-interpreter classification and
 // notes, conjunct-set contradiction/redundancy detection, disassembly, and
 // the columnar batch kernel agreeing with row evaluation.
@@ -14,6 +15,7 @@
 #include "src/event/event.h"
 #include "src/event/schema.h"
 #include "src/plan/expr_analysis.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {
@@ -74,6 +76,13 @@ class ExprIrTest : public ::testing::Test {
     return e;
   }
 
+  // Lowers a well-formed tree; the verifier must accept it.
+  ExprProgram Lower(const CompiledExpr& expr, bool fold = true) const {
+    Result<ExprProgram> p = LowerExpr(expr, schemas_, fold);
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    return p.ok() ? std::move(p).value() : ExprProgram{};
+  }
+
   SchemaPtr schema_;
   std::vector<SchemaPtr> schemas_;
 };
@@ -87,7 +96,7 @@ TEST_F(ExprIrTest, VerifierAcceptsLoweredPrograms) {
       Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(2.5))),
       Bin(BinaryOp::kOr, Bin(BinaryOp::kEq, FieldRef(3), Lit(Value("US"))),
           Un(UnaryOp::kNot, FieldRef(0))));
-  const ExprProgram p = LowerExpr(expr, schemas_, /*fold=*/false);
+  const ExprProgram p = Lower(expr, /*fold=*/false);
   EXPECT_TRUE(VerifyProgram(p).ok()) << VerifyProgram(p).ToString();
 }
 
@@ -156,6 +165,23 @@ TEST_F(ExprIrTest, VerifierRejectsMalformedPrograms) {
   }
 }
 
+TEST_F(ExprIrTest, VerifierRejectionIsALoweringError) {
+  // A field load from source 3 against a one-source schema list: lowering
+  // emits the load, the verifier rejects it, and LowerExpr returns the
+  // rejection as a status. This holds in every build type — no abort in
+  // debug, no silently shipped program in release.
+  CompiledExpr bad = Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0)));
+  bad.children[0].source = 3;
+  for (const bool fold : {true, false}) {
+    const Result<ExprProgram> p = LowerExpr(bad, schemas_, fold);
+    ASSERT_FALSE(p.ok()) << "fold=" << fold;
+    EXPECT_EQ(p.status().code(), StatusCode::kInternal);
+    EXPECT_NE(p.status().message().find("load from source 3 out of range"),
+              std::string::npos)
+        << p.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Folding.
 
@@ -163,7 +189,7 @@ TEST_F(ExprIrTest, ConstantSubtreesFoldAtLowering) {
   const CompiledExpr expr =
       Bin(BinaryOp::kAdd, Lit(Value(int64_t{1})),
           Bin(BinaryOp::kMul, Lit(Value(int64_t{2})), Lit(Value(int64_t{3}))));
-  const ExprProgram p = LowerExpr(expr, schemas_);
+  const ExprProgram p = Lower(expr);
   ASSERT_EQ(p.insts.size(), 1u);
   EXPECT_EQ(p.insts[0].op, IrOp::kConst);
   const Event e = MakeBid(1, 10, 3.0, "US");
@@ -174,7 +200,7 @@ TEST_F(ExprIrTest, FoldProgramCollapsesDecidableResult) {
   const CompiledExpr expr =
       Bin(BinaryOp::kAdd, Lit(Value(int64_t{1})),
           Bin(BinaryOp::kMul, Lit(Value(int64_t{2})), Lit(Value(int64_t{3}))));
-  ExprProgram p = LowerExpr(expr, schemas_, /*fold=*/false);
+  ExprProgram p = Lower(expr, /*fold=*/false);
   ASSERT_GT(p.insts.size(), 1u);
   const ProgramAnalysis analysis = AnalyzeProgram(p);
   ASSERT_TRUE(analysis.result.constant.has_value());
@@ -188,25 +214,22 @@ TEST_F(ExprIrTest, FoldProgramCollapsesDecidableResult) {
 
 TEST_F(ExprIrTest, ShortCircuitConstantsDecideConjunctions) {
   // `price > 1 AND false` is false no matter what price holds.
-  const ExprProgram and_false = LowerExpr(
+  const ExprProgram and_false = Lower(
       Bin(BinaryOp::kAnd, Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0))),
-          Lit(Value(false))),
-      schemas_);
+          Lit(Value(false))));
   ASSERT_EQ(and_false.insts.size(), 1u);
   EXPECT_EQ(and_false.consts[and_false.insts[0].imm], Value(false));
 
-  const ExprProgram or_true = LowerExpr(
+  const ExprProgram or_true = Lower(
       Bin(BinaryOp::kOr, Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0))),
-          Lit(Value(true))),
-      schemas_);
+          Lit(Value(true))));
   ASSERT_EQ(or_true.insts.size(), 1u);
   EXPECT_EQ(or_true.consts[or_true.insts[0].imm], Value(true));
 
   // A non-deciding constant side reduces to the other operand (coerced).
-  const ExprProgram and_true = LowerExpr(
+  const ExprProgram and_true = Lower(
       Bin(BinaryOp::kAnd, Lit(Value(true)),
-          Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0)))),
-      schemas_);
+          Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(1.0)))));
   for (const IrInst& inst : and_true.insts) {
     EXPECT_NE(inst.op, IrOp::kJumpIfFalse);
     EXPECT_NE(inst.op, IrOp::kJumpIfTrue);
@@ -217,15 +240,14 @@ TEST_F(ExprIrTest, ShortCircuitConstantsDecideConjunctions) {
 // Abstract interpretation.
 
 TEST_F(ExprIrTest, AnalysisClassifiesTautologyAndNullCompare) {
-  const ExprProgram taut = LowerExpr(
+  const ExprProgram taut = Lower(
       Bin(BinaryOp::kLt, Lit(Value(int64_t{1})), Lit(Value(int64_t{2}))),
-      schemas_, /*fold=*/false);
+      /*fold=*/false);
   EXPECT_EQ(AnalyzeProgram(taut).predicate, PredicateClass::kAlwaysTrue);
 
   // Ordered comparison against an always-null operand is never true.
-  const ExprProgram null_cmp = LowerExpr(
-      Bin(BinaryOp::kLt, Lit(Value::Null()), FieldRef(2)), schemas_,
-      /*fold=*/false);
+  const ExprProgram null_cmp = Lower(
+      Bin(BinaryOp::kLt, Lit(Value::Null()), FieldRef(2)), /*fold=*/false);
   const ProgramAnalysis analysis = AnalyzeProgram(null_cmp);
   EXPECT_EQ(analysis.predicate, PredicateClass::kAlwaysFalse);
   ASSERT_EQ(analysis.notes.size(), 1u);
@@ -233,9 +255,8 @@ TEST_F(ExprIrTest, AnalysisClassifiesTautologyAndNullCompare) {
 }
 
 TEST_F(ExprIrTest, AnalysisFlagsProvableDivisionByZero) {
-  const ExprProgram p = LowerExpr(
-      Bin(BinaryOp::kDiv, FieldRef(2), Lit(Value(int64_t{0}))), schemas_,
-      /*fold=*/false);
+  const ExprProgram p = Lower(
+      Bin(BinaryOp::kDiv, FieldRef(2), Lit(Value(int64_t{0}))), /*fold=*/false);
   const ProgramAnalysis analysis = AnalyzeProgram(p);
   EXPECT_EQ(analysis.result.types, kMaskNull);
   ASSERT_EQ(analysis.notes.size(), 1u);
@@ -246,9 +267,8 @@ TEST_F(ExprIrTest, TypeDisjointEqualityFolds) {
   // A string field can never equal an integer literal (numeric classes
   // merge, but string vs numeric is disjoint) — though null intrudes, Eq
   // with one null operand is false, so the fold holds.
-  const ExprProgram p = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value(int64_t{7}))), schemas_,
-      /*fold=*/false);
+  const ExprProgram p = Lower(
+      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value(int64_t{7}))), /*fold=*/false);
   EXPECT_EQ(AnalyzeProgram(p).predicate, PredicateClass::kAlwaysFalse);
 }
 
@@ -257,10 +277,10 @@ TEST_F(ExprIrTest, TypeDisjointEqualityFolds) {
 
 TEST_F(ExprIrTest, ConjunctSetDetectsEqualityContradiction) {
   // user_id == 200 AND user_id >= 500.
-  const ExprProgram a = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{200}))), schemas_);
-  const ExprProgram b = LowerExpr(
-      Bin(BinaryOp::kGe, FieldRef(1), Lit(Value(int64_t{500}))), schemas_);
+  const ExprProgram a = Lower(
+      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{200}))));
+  const ExprProgram b = Lower(
+      Bin(BinaryOp::kGe, FieldRef(1), Lit(Value(int64_t{500}))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&a, &b});
   EXPECT_TRUE(r.contradiction);
   EXPECT_EQ(r.contradiction_source, 0);
@@ -270,26 +290,26 @@ TEST_F(ExprIrTest, ConjunctSetDetectsEqualityContradiction) {
 TEST_F(ExprIrTest, ConjunctSetDetectsEmptyIntegerRange) {
   // user_id > 1 AND user_id < 2: no integer strictly between, and the field
   // is integer-typed, so the band is empty.
-  const ExprProgram a = LowerExpr(
-      Bin(BinaryOp::kGt, FieldRef(1), Lit(Value(int64_t{1}))), schemas_);
-  const ExprProgram b = LowerExpr(
-      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{2}))), schemas_);
+  const ExprProgram a = Lower(
+      Bin(BinaryOp::kGt, FieldRef(1), Lit(Value(int64_t{1}))));
+  const ExprProgram b = Lower(
+      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{2}))));
   EXPECT_TRUE(AnalyzeConjunctSet({&a, &b}).contradiction);
 
   // The same band on a double field is satisfiable (e.g. 1.5).
-  const ExprProgram c = LowerExpr(
-      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(int64_t{1}))), schemas_);
-  const ExprProgram d = LowerExpr(
-      Bin(BinaryOp::kLt, FieldRef(2), Lit(Value(int64_t{2}))), schemas_);
+  const ExprProgram c = Lower(
+      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(int64_t{1}))));
+  const ExprProgram d = Lower(
+      Bin(BinaryOp::kLt, FieldRef(2), Lit(Value(int64_t{2}))));
   EXPECT_FALSE(AnalyzeConjunctSet({&c, &d}).contradiction);
 }
 
 TEST_F(ExprIrTest, ConjunctSetMarksImpliedBoundsRedundant) {
   // price > 10 implies price > 5: the weaker bound is redundant.
   const ExprProgram strong =
-      LowerExpr(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))), schemas_);
+      Lower(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))));
   const ExprProgram weak =
-      LowerExpr(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(5.0))), schemas_);
+      Lower(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(5.0))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&strong, &weak});
   EXPECT_FALSE(r.contradiction);
   EXPECT_EQ(r.redundant, std::vector<int>{1});
@@ -297,10 +317,10 @@ TEST_F(ExprIrTest, ConjunctSetMarksImpliedBoundsRedundant) {
 
 TEST_F(ExprIrTest, ConjunctSetEqualityPinsSubsumeConsistentBounds) {
   // user_id == 7 AND user_id < 10: the pin decides the range check.
-  const ExprProgram pin = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{7}))), schemas_);
-  const ExprProgram range = LowerExpr(
-      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{10}))), schemas_);
+  const ExprProgram pin = Lower(
+      Bin(BinaryOp::kEq, FieldRef(1), Lit(Value(int64_t{7}))));
+  const ExprProgram range = Lower(
+      Bin(BinaryOp::kLt, FieldRef(1), Lit(Value(int64_t{10}))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&pin, &range});
   EXPECT_FALSE(r.contradiction);
   EXPECT_EQ(r.redundant, std::vector<int>{1});
@@ -308,9 +328,9 @@ TEST_F(ExprIrTest, ConjunctSetEqualityPinsSubsumeConsistentBounds) {
 
 TEST_F(ExprIrTest, ConjunctSetLeavesDisjointFieldsAlone) {
   const ExprProgram a =
-      LowerExpr(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))), schemas_);
-  const ExprProgram b = LowerExpr(
-      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value("US"))), schemas_);
+      Lower(Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(10.0))));
+  const ExprProgram b = Lower(
+      Bin(BinaryOp::kEq, FieldRef(3), Lit(Value("US"))));
   const ConjunctSetResult r = AnalyzeConjunctSet({&a, &b});
   EXPECT_FALSE(r.contradiction);
   EXPECT_TRUE(r.redundant.empty());
@@ -320,9 +340,8 @@ TEST_F(ExprIrTest, ConjunctSetLeavesDisjointFieldsAlone) {
 // Disassembly.
 
 TEST_F(ExprIrTest, ProgramToStringRendersTypedFieldLoads) {
-  const ExprProgram p = LowerExpr(
-      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(2.5))), schemas_,
-      /*fold=*/false);
+  const ExprProgram p = Lower(
+      Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(2.5))), /*fold=*/false);
   const std::string text = ProgramToString(p, {"bid"}, schemas_);
   EXPECT_NE(text.find("bid.price"), std::string::npos) << text;
   EXPECT_NE(text.find("null|double"), std::string::npos) << text;
@@ -346,7 +365,7 @@ TEST_F(ExprIrTest, PredicateBatchMatchesRowEvaluation) {
   }
   const CompiledExpr expr =
       Bin(BinaryOp::kGt, FieldRef(2), Lit(Value(4.0)));
-  const ExprProgram p = LowerExpr(expr, schemas_);
+  const ExprProgram p = Lower(expr);
 
   std::vector<uint32_t> selection(batch.rows());
   for (uint32_t i = 0; i < batch.rows(); ++i) {

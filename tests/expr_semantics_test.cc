@@ -1,8 +1,8 @@
 // Randomized property tests for value and operator semantics — the
 // algebraic contracts the join, group-by and predicate machinery lean on —
 // plus the differential property that the typed expression IR (lowered,
-// lowered-without-folding, and analysis-folded) agrees with the legacy tree
-// evaluator and the vectorized columnar evaluator on random expressions over
+// lowered-without-folding, and analysis-folded; row, columnar and batch
+// execution) agrees with the tree-walking oracle on random expressions over
 // random events, including nulls and type-mismatched operands.
 
 #include <gtest/gtest.h>
@@ -17,7 +17,7 @@
 #include "src/plan/expr_analysis.h"
 #include "src/plan/expr_eval.h"
 #include "src/plan/expr_ir.h"
-#include "src/plan/vectorized.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {
@@ -315,10 +315,12 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
   int folded_programs = 0;
   for (int trial = 0; trial < 400; ++trial) {
     const CompiledExpr expr = RandomExprTree(rng, 3);
-    const ExprProgram lowered = LowerExpr(expr, schemas);
-    ExprProgram unfolded = LowerExpr(expr, schemas, /*fold=*/false);
-    ASSERT_TRUE(VerifyProgram(lowered).ok());
-    ASSERT_TRUE(VerifyProgram(unfolded).ok());
+    const Result<ExprProgram> lowered_or = LowerExpr(expr, schemas);
+    Result<ExprProgram> unfolded_or = LowerExpr(expr, schemas, /*fold=*/false);
+    ASSERT_TRUE(lowered_or.ok()) << lowered_or.status().ToString();
+    ASSERT_TRUE(unfolded_or.ok()) << unfolded_or.status().ToString();
+    const ExprProgram& lowered = *lowered_or;
+    ExprProgram unfolded = std::move(unfolded_or).value();
     const ProgramAnalysis analysis = AnalyzeProgram(unfolded);
     if (FoldProgram(&unfolded, analysis)) {
       ++folded_programs;
@@ -331,8 +333,6 @@ TEST(IrDifferentialTest, AllEvaluatorsAgreeOnRandomExpressions) {
       EXPECT_EQ(EvalProgramSingle(unfolded, events[row]), expected)
           << "trial " << trial << " row " << row << " (analysis-folded)\n"
           << ProgramToString(unfolded, {"bid"}, schemas);
-      const Value columnar_legacy = EvalExprColumns(expr, batch, row);
-      EXPECT_EQ(columnar_legacy, expected) << "trial " << trial;
       EXPECT_EQ(EvalProgramColumns(lowered, batch, row), expected)
           << "trial " << trial << " row " << row << " (columnar)\n"
           << ProgramToString(lowered, {"bid"}, schemas);

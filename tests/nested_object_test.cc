@@ -10,6 +10,7 @@
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
 #include "src/scrub/scrub_system.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {

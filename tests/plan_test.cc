@@ -7,6 +7,7 @@
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
 #include "src/query/parser.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 namespace {

@@ -126,6 +126,28 @@ TEST_F(PushdownTest, SelectionAppliesBeforeAggregation) {
   EXPECT_EQ(rows[0].values[0], Value(int64_t{1}));
 }
 
+TEST_F(PushdownTest, ContradictoryWhereFoldsNothing) {
+  // The planner proves the conjunct set unsatisfiable; the pushdown agent
+  // honours never_matches exactly as ScrubAgent does: no event evaluates a
+  // predicate, folds into a group or ships.
+  Result<PushdownPlan> plan = Plan(
+      "SELECT bid.user_id, COUNT(*) FROM bid "
+      "WHERE bid.user_id = 200 AND bid.user_id >= 500 "
+      "GROUP BY bid.user_id WINDOW 10 s DURATION 60 s;");
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+  EXPECT_TRUE(plan->never_matches);
+  const CostModel costs;
+  PushdownAgent agent(0, &meter_, costs);
+  agent.InstallQuery(*plan);
+  for (const int64_t user : {int64_t{200}, int64_t{600}}) {
+    EXPECT_EQ(agent.LogEvent(MakeBid(static_cast<RequestId>(user), 100, user,
+                                     1.0)),
+              costs.log_fixed_ns + 2 * costs.log_per_field_ns);
+  }
+  EXPECT_EQ(agent.peak_state_entries(), 0u);
+  EXPECT_TRUE(agent.Flush(12 * kMicrosPerSecond).empty());
+}
+
 TEST_F(PushdownTest, MergesPartialsFromMultipleHosts) {
   Result<PushdownPlan> plan = Plan(
       "SELECT COUNT(*), SUM(bid.price) FROM bid WINDOW 10 s DURATION 60 s;");

@@ -2,8 +2,10 @@
 // differential tests compare Scrub against.
 //
 // It shares nothing with Scrub's execution machinery except the compiled
-// expression evaluator and the output-expression renderer (so both sides
-// agree on operator semantics by construction). Everything the paper's
+// expression trees, ApplyBinaryOp and the output-expression renderer (so
+// both sides agree on operator semantics by construction). Expressions are
+// evaluated by the tree-walking oracle (tests/tree_eval.h), not by the IR
+// the pipeline executes. Everything the paper's
 // pipeline does incrementally — host-side selection/projection, batching,
 // the symmetric hash join, per-window accumulators, sketches — the oracle
 // does the slow obvious way: buffer every ground-truth event, then for each
@@ -37,6 +39,7 @@
 #include "src/plan/expr_eval.h"
 #include "src/plan/plan.h"
 #include "src/query/analyzer.h"
+#include "tests/tree_eval.h"
 
 namespace scrub {
 

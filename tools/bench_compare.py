@@ -15,6 +15,10 @@ against the committed baseline:
     same kind of absolute floor (default 1.5x), and the fresh ingest.dict
     section's wire_bytes_reduction must hold its floor (default 1.3x) — the
     dictionary encoding has to keep paying for itself;
+  * the fresh ingest.filter section's IR-over-tree-oracle speedup on the
+    row path (ir_row over legacy_row: the lowered, folded programs vs the
+    tree walker in tests/tree_eval.h) must hold an absolute floor (default
+    1.05x); the ir_columnar run gets only the relative events/sec gate;
   * the fresh ingest.metrics section's metrics-on over metrics-off
     events/sec ratio must hold an absolute floor (default 0.95) — the
     operator-metrics plane is on by default and its tax must stay small;
@@ -35,6 +39,7 @@ refresh it with tools/bench_run.sh and commit it.
 Usage:
     tools/bench_compare.py BASELINE FRESH [--threshold 0.15]
                            [--min-ingest-speedup 1.5]
+                           [--min-filter-speedup 1.05]
                            [--min-fleet-bytes-reduction 5.0]
 """
 
@@ -90,8 +95,9 @@ def ingest_spill_runs(doc):
 
 
 def ingest_filter_runs(doc):
-    # The filter case (legacy tree conjuncts vs lowered IR programs) nests
-    # under ingest.filter; absent in pre-IR baselines.
+    # The filter case (the tree-walking oracle's conjuncts vs the lowered IR
+    # programs, row and columnar) nests under ingest.filter; absent in pre-IR
+    # baselines.
     section = (doc.get("ingest") or {}).get("filter") or {}
     return ({r["pipeline"]: r for r in section.get("runs", [])},
             section.get("speedup_vs_legacy"))
