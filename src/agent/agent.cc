@@ -16,23 +16,14 @@ void ScrubAgent::InstallQuery(const HostPlan& plan) {
     return;
   }
   auto [it, inserted] = queries_.emplace(plan.query_id, ActiveQuery(plan));
-  if (!plan.preaggregate) {
-    for (const HostSourcePlan& sp : plan.sources) {
-      it->second.stats.source_types.push_back(sp.event_type);
-    }
+  for (const HostSourcePlan& sp : plan.sources) {
+    it->second.stats.source_types.push_back(sp.event_type);
   }
 }
 
 void ScrubAgent::RemoveQuery(QueryId query_id) {
   queries_.erase(query_id);
   staging_accountant_.ReleaseAll(query_id);  // staged events die with it
-}
-
-void ScrubAgent::SetBatchOverride(QueryId query_id, size_t max_batch_events) {
-  const auto it = queries_.find(query_id);
-  if (it != queries_.end()) {
-    it->second.batch_override = max_batch_events;
-  }
 }
 
 TimeMicros ScrubAgent::WindowStartFor(const ActiveQuery& q,
@@ -120,30 +111,6 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
       }
     }
     ++counter.sampled;
-
-    // Pre-aggregation path: selection runs here on the folded IR (always-
-    // true conjuncts are already pruned; a provably unsatisfiable filter
-    // folds nothing), then the event folds into its slot's delta cells —
-    // the same arithmetic central's accumulator update runs, so shipping
-    // deltas changes bytes, never results.
-    if (q.plan.preaggregate) {
-      bool selected = !sp->never_matches;
-      for (const ExprProgram& program : sp->programs) {
-        if (!selected) {
-          break;
-        }
-        ns += c.predicate_term_ns * static_cast<int64_t>(program.insts.size());
-        if (!EvalProgramPredicateSingle(program, event)) {
-          selected = false;
-        }
-      }
-      if (!selected) {
-        ++q.stats.events_filtered;
-        continue;
-      }
-      ns += PreAggFold(q, event, ts);
-      continue;
-    }
 
     // 2. Staging: record the sampled event's row in the shared batch for
     // its type (appending it on first use) and defer selection + projection
@@ -253,7 +220,7 @@ void ScrubAgent::FlushColumns(QueryId query_id, ActiveQuery& q,
       SelectStaged(q, sp, cols, std::exchange(q.staged_rows[0], {}), &ns);
   meter_->ChargeScrub(ns);
 
-  const size_t max_batch = EffectiveBatch(q);
+  const size_t max_batch = BatchCap(selection.size());
   for (size_t start = 0; start < selection.size(); start += max_batch) {
     const size_t n = std::min(max_batch, selection.size() - start);
     if (q.stats.last_encodings.empty()) {
@@ -315,7 +282,7 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
     // does not wipe the "most recent shipped encodings" report.
     q.stats.last_encodings.assign(num_sources, {});
   }
-  const size_t max_batch = EffectiveBatch(q);
+  const size_t max_batch = BatchCap(arrivals.size());
   for (size_t start = 0; start < arrivals.size(); start += max_batch) {
     const size_t n = std::min(max_batch, arrivals.size() - start);
     // Per-source row lists for this chunk. Rows within a source are in row
@@ -363,77 +330,6 @@ void ScrubAgent::FlushColumnJoin(QueryId query_id, ActiveQuery& q,
   }
 }
 
-int64_t ScrubAgent::PreAggFold(ActiveQuery& q, const Event& event,
-                               TimeMicros ts) {
-  const CostModel& c = config_.costs;
-  int64_t ns = c.enqueue_ns;
-  ActiveQuery::PreAggState& slot = q.preagg[WindowStartFor(q, ts)];
-  ++slot.events;
-  ++q.stats.events_staged;
-
-  GroupKey key;
-  key.reserve(q.plan.group_by_programs.size());
-  for (const ExprProgram& g : q.plan.group_by_programs) {
-    ns += c.predicate_term_ns * static_cast<int64_t>(g.insts.size());
-    key.push_back(EvalProgramSingle(g, event));
-  }
-  HashedGroupKey hk(std::move(key));
-  size_t idx;
-  const auto it = slot.index.find(hk);
-  if (it != slot.index.end()) {
-    idx = it->second;
-  } else {
-    idx = slot.groups.size();
-    PreAggGroup group;
-    group.keys = hk.key;
-    group.cells.resize(q.plan.preagg.size());
-    slot.groups.push_back(std::move(group));
-    slot.index.emplace(std::move(hk), idx);
-  }
-
-  PreAggGroup& group = slot.groups[idx];
-  for (size_t i = 0; i < q.plan.preagg.size(); ++i) {
-    const HostPlan::PreAggSpec& spec = q.plan.preagg[i];
-    // The aggregation CPU the flat topology spends at central runs here on
-    // the application host — the cost the ablation makes visible.
-    ns += c.central_group_update_ns;
-    Value arg;
-    if (spec.has_arg) {
-      arg = EvalProgramSingle(spec.arg_program, event);
-      if (arg.is_null()) {
-        continue;  // SQL semantics, mirroring central's accumulator update
-      }
-    }
-    PreAggCell& cell = group.cells[i];
-    ++cell.count;
-    if (spec.func == AggregateFunc::kSum) {
-      cell.sum += arg.is_numeric() ? arg.AsNumber() : 0.0;
-    }
-  }
-  return ns;
-}
-
-void ScrubAgent::FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
-                             std::vector<EventBatch>* batches) {
-  if (q.preagg.empty()) {
-    return;
-  }
-  std::vector<PreAggSlot> slots;
-  slots.reserve(q.preagg.size());
-  uint64_t events = 0;
-  for (auto& [start, state] : q.preagg) {
-    PreAggSlot slot;
-    slot.window_start = start;
-    slot.events = state.events;
-    slot.groups = std::move(state.groups);
-    events += state.events;
-    slots.push_back(std::move(slot));
-  }
-  q.preagg.clear();
-  EmitBatch(query_id, q, BatchFormat::kPreAgg, EncodePreAggBatch(slots),
-            events, now, batches);
-}
-
 std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
                                           std::vector<QueryId>* expired) {
   std::vector<EventBatch> batches;
@@ -457,9 +353,7 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
         q.pending_counters[prev].window_start = prev;
       }
     }
-    if (q.plan.preaggregate) {
-      FlushPreAgg(it->first, q, now, &batches);
-    } else if (q.plan.sources.size() > 1) {
+    if (q.plan.sources.size() > 1) {
       FlushColumnJoin(it->first, q, now, &batches);
     } else {
       FlushColumns(it->first, q, now, &batches);

@@ -42,7 +42,6 @@
 #include "src/event/event.h"
 #include "src/event/wire.h"
 #include "src/plan/expr_eval.h"
-#include "src/plan/group_key.h"
 #include "src/plan/plan.h"
 
 namespace scrub {
@@ -75,9 +74,9 @@ struct EventBatch {
   uint64_t seq = 0;
   uint64_t epoch = 0;
   BatchFormat format = BatchFormat::kRow;  // how `payload` is laid out
-  // EncodeColumnBatch (kColumnar), EncodeColumnJoinBatch (kColumnarJoin),
-  // EncodePreAggBatch (kPreAgg), or EncodeBatch (kRow: the agent sends the
-  // empty row batch as its counters-only frame).
+  // EncodeColumnBatch (kColumnar), EncodeColumnJoinBatch (kColumnarJoin), or
+  // EncodeBatch (kRow: the agent sends the empty row batch as its
+  // counters-only frame).
   std::string payload;
   size_t event_count = 0;
   std::vector<WindowCounter> counters;  // deltas since the previous flush
@@ -85,8 +84,8 @@ struct EventBatch {
   // Honest wire accounting: the encoded events, each counter's window start
   // plus three u64 readings (seen, sampled, shed), and the header (query_id
   // 8 + host 4 + seq 8 + epoch 8 + event_count 4 + counter_count 4).
-  // Columnar and pre-aggregated batches spend one extra byte on the format
-  // discriminator; row batches stay byte-identical to the pre-columnar wire.
+  // Columnar batches spend one extra byte on the format discriminator; row
+  // batches stay byte-identical to the pre-columnar wire.
   size_t WireSize() const {
     return payload.size() + 32 * counters.size() + 36 +
            (format == BatchFormat::kRow ? 0 : 1);
@@ -102,7 +101,9 @@ struct AgentConfig {
   // spills); every drop is counted per window and folded into central's
   // fidelity.
   size_t staging_budget_bytes = 0;
-  size_t max_batch_events = 1024;  // flush splits batches beyond this
+  // A flush splits a query's surviving events into batches of at most this
+  // many (0 = do not split: one batch per flush).
+  size_t max_batch_events = 1024;
   // Reliable delivery. A flushed batch is held for retransmission until
   // acked; unacked batches are re-sent with exponential backoff + jitter
   // until `retransmit_budget` has elapsed since the flush, then shed and
@@ -124,8 +125,8 @@ struct AgentConfig {
 struct AgentQueryStats {
   uint64_t events_considered = 0;  // log() calls of a matching type
   uint64_t events_sampled_out = 0;
-  // Selection outcome. Column-staged queries select at flush, so these move
-  // when a flush runs; pre-aggregating queries select inside log().
+  // Selection outcome. Selection runs at flush, so these move when a flush
+  // runs.
   uint64_t events_filtered = 0;    // failed selection
   uint64_t events_staged = 0;      // passed selection
   uint64_t events_dropped = 0;     // staging full or over its byte budget
@@ -140,11 +141,10 @@ struct AgentQueryStats {
   // Per-source, per-field wire encoding chosen by the most recent columnar
   // flush that shipped data (EncodeColumnBatch's convention: -1 dropped or
   // all-null, 0 plain, n > 0 dictionary with n entries). Empty until a
-  // columnar flush ships; pre-aggregating queries never fill it.
+  // flush ships data.
   std::vector<std::vector<int>> last_encodings;
-  // Plan-ordered source event types of a column-staged query (empty for a
-  // pre-aggregating one, which folds delta cells instead of staging). Lives
-  // in the stats so DescribeQuery can still render it after teardown.
+  // Plan-ordered source event types of the query. Lives in the stats so
+  // DescribeQuery can still render it after teardown.
   std::vector<std::string> source_types;
 };
 
@@ -200,13 +200,6 @@ class ScrubAgent {
   size_t pending_retransmits() const;
   uint64_t epoch() const { return epoch_; }
 
-  // Adaptive-execution hook (driven by the central AdaptiveController):
-  // replaces config.max_batch_events for one query (0 restores the
-  // configured default). It takes effect at the next flush; batch boundaries
-  // carry no fold effects at central, so re-chunking is transcript-neutral
-  // by construction.
-  void SetBatchOverride(QueryId query_id, size_t max_batch_events);
-
   const AgentQueryStats* StatsFor(QueryId query_id) const;
   uint64_t total_events_logged() const { return total_events_logged_; }
   // Events held in shared staging: each counts once, however many queries
@@ -230,19 +223,6 @@ class ScrubAgent {
     std::vector<uint8_t> staging_order;
     // Counter deltas keyed by window start, flushed incrementally.
     std::map<TimeMicros, WindowCounter> pending_counters;
-    // Pre-aggregation path (plan.preaggregate): selected events fold into
-    // per-(slot, group) COUNT/SUM delta cells; a flush ships one kPreAgg
-    // batch of deltas instead of the events. `index` maps a hashed group
-    // key to its position in `groups`, which preserves first-touch order so
-    // the encoded payload is a deterministic function of the event stream.
-    struct PreAggState {
-      uint64_t events = 0;  // selected events folded into this slot
-      std::unordered_map<HashedGroupKey, size_t, HashedGroupKeyHash> index;
-      std::vector<PreAggGroup> groups;
-    };
-    std::map<TimeMicros, PreAggState> preagg;
-    // Adaptive override: 0 = use config.max_batch_events.
-    size_t batch_override = 0;
     AgentQueryStats stats;
 
     explicit ActiveQuery(const HostPlan& p)
@@ -290,18 +270,11 @@ class ScrubAgent {
   // Total rows staged across a query's sources.
   size_t StagedRows(const ActiveQuery& q) const;
 
-  // Per-query flush chunk cap: the adaptive override when set, else the
-  // configured default.
-  size_t EffectiveBatch(const ActiveQuery& q) const {
-    return q.batch_override > 0 ? q.batch_override : config_.max_batch_events;
+  // Flush chunk cap: config.max_batch_events, or `total` (one chunk) when
+  // the cap is 0.
+  size_t BatchCap(size_t total) const {
+    return config_.max_batch_events > 0 ? config_.max_batch_events : total;
   }
-
-  // Pre-aggregation path: folds one selected event into its slot's delta
-  // cells (returns the CPU charged), and flushes the accumulated deltas as
-  // a single kPreAgg batch.
-  int64_t PreAggFold(ActiveQuery& q, const Event& event, TimeMicros ts);
-  void FlushPreAgg(QueryId query_id, ActiveQuery& q, TimeMicros now,
-                   std::vector<EventBatch>* batches);
 
   // Stamps one outgoing batch (seq, epoch, the query's pending counters on
   // the first batch of a flush), charges its serialization, and queues it
@@ -336,7 +309,7 @@ class ScrubAgent {
   // Wire bytes staged per query, against staging_budget_bytes. Released
   // when a flush drains the query's staged rows.
   MemoryAccountant staging_accountant_;
-  // One staging batch per event type, shared by every column-staged query:
+  // One staging batch per event type, shared by every query:
   // an event is appended at most once however many queries accept it, and
   // each query keeps only its row indices (ActiveQuery::staged_rows). Each
   // batch is created from the first staged event's schema (the agent holds

@@ -39,10 +39,11 @@ EventLoggerFn LoggingPipeline::Logger() {
 
 void LoggingPipeline::PumpFlushes() {
   for (auto& [host, events] : staged_) {
+    const size_t cap =
+        config_.max_batch_events > 0 ? config_.max_batch_events : events.size();
     size_t offset = 0;
     while (offset < events.size()) {
-      const size_t n =
-          std::min(config_.max_batch_events, events.size() - offset);
+      const size_t n = std::min(cap, events.size() - offset);
       std::vector<Event> chunk(events.begin() + static_cast<long>(offset),
                                events.begin() + static_cast<long>(offset + n));
       offset += n;

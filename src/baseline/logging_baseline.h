@@ -31,6 +31,7 @@
 namespace scrub {
 
 struct BaselineConfig {
+  // Events per shipped log batch (0 = do not split: one batch per flush).
   size_t max_batch_events = 1024;
   // Per-event scan cost of the batch query engine (a Hadoop-style pass over
   // the warehouse touches every stored event).

@@ -91,8 +91,8 @@ class ScrubCentral {
   void OnTick(TimeMicros now);
 
   const CentralQueryStats* StatsFor(QueryId query_id) const;
-  // Ids of every installed (not yet retired) query, unordered. The adaptive
-  // controller walks these to read per-operator metrics each pump.
+  // Ids of every installed (not yet retired) query, unordered.
+  // ScrubSystem::CalibrateLintCosts walks these to read per-operator metrics.
   std::vector<QueryId> ActiveQueryIds() const {
     std::vector<QueryId> ids;
     ids.reserve(queries_.size());

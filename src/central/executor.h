@@ -294,26 +294,17 @@ struct HostWindowStats {
 };
 
 // One buffered join input. Row-path entries carry a materialized Event;
-// columnar entries hold a (batch, row) reference and materialize at most
-// once, when they first participate in a joined tuple. An entry that never
-// matches — a join orphan — never pays the materialization.
+// columnar entries hold a (batch, row) reference that a joined tuple binds
+// in place through TupleSlot, so a columnar entry is never materialized.
 struct JoinEntry {
   Event event;
-  std::shared_ptr<const ColumnBatch> columns;  // non-null while deferred
+  std::shared_ptr<const ColumnBatch> columns;  // non-null for columnar entries
   uint32_t row = 0;
 
   JoinEntry() = default;
   explicit JoinEntry(Event e) : event(std::move(e)) {}
   JoinEntry(std::shared_ptr<const ColumnBatch> batch, uint32_t r)
       : columns(std::move(batch)), row(r) {}
-
-  const Event& Materialize() {
-    if (columns != nullptr) {
-      event = columns->MaterializeEvent(row);
-      columns.reset();
-    }
-    return event;
-  }
 };
 
 struct WindowState {
@@ -409,13 +400,6 @@ class Executor {
   // Decode operator: wire payload -> InputChunk, then Fold. (The dedup and
   // counter admission stays with the owning facility.)
   Status DecodeAndFold(QueryState& q, HostId host, const EventBatch& batch);
-
-  // Absorbs pre-aggregated COUNT/SUM deltas (BatchFormat::kPreAgg). Sound
-  // even for sliding windows: every ts inside one slide-grid slot is covered
-  // by the same window set, so folding a slot at its window_start assigns
-  // each delta to exactly the windows its events would have reached.
-  void FoldPreAgg(QueryState& q, HostId host,
-                  const std::vector<PreAggSlot>& slots);
 
   // Window-assigns each chunk position, then runs Join / GroupFold /
   // Project per covering window. One loop for both representations.

@@ -30,9 +30,7 @@ enum class BatchFormat : uint8_t {
   // encoding.
   kRow = 0,
   kColumnar = 1,
-  // Agent-side pre-aggregation ablation: the payload is per-(slot, group)
-  // COUNT/SUM cells, not events (EncodePreAggBatch below).
-  kPreAgg = 2,
+  // 2 is unused: a retired format's number is never reassigned.
   // Multi-source (join) columnar staging: one columnar section per query
   // source plus the explicit arrival-order interleave, so the central join
   // replays the exact event sequence the host logged (EncodeColumnJoinBatch
@@ -145,41 +143,6 @@ struct ColumnJoinBatch {
 
 Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
                                               const std::string& buffer);
-
-// ---- Pre-aggregated batch format (BatchFormat::kPreAgg) --------------------
-//
-// The agent-side pre-aggregation ablation ships per-(slot, group) COUNT/SUM
-// deltas instead of events. Layout (reusing the row codec's primitives):
-//   u32 slot_count
-//   per slot:
-//     u64 window_start (slide-grid slot, micros)
-//     u64 folded event count
-//     u32 group_count
-//     per group:
-//       u32 key_count,  key_count tagged values (the row codec's encoding)
-//       u32 cell_count, cell_count x (u64 count + f64 sum)
-// Decode applies the row format's hostile-input discipline: truncation
-// checks on every read, counts capped by the remaining bytes, trailing
-// bytes rejected.
-
-struct PreAggCell {
-  uint64_t count = 0;
-  double sum = 0.0;
-};
-
-struct PreAggGroup {
-  std::vector<Value> keys;
-  std::vector<PreAggCell> cells;  // one per aggregate slot, in plan order
-};
-
-struct PreAggSlot {
-  int64_t window_start = 0;
-  uint64_t events = 0;  // selected events folded into this slot
-  std::vector<PreAggGroup> groups;
-};
-
-std::string EncodePreAggBatch(const std::vector<PreAggSlot>& slots);
-Result<std::vector<PreAggSlot>> DecodePreAggBatch(const std::string& buffer);
 
 }  // namespace scrub
 

@@ -69,21 +69,6 @@ struct HostPlan {
   double event_sample_rate = 1.0;
   std::vector<HostSourcePlan> sources;
 
-  // Agent-side pre-aggregation (the opt-in ablation of the paper's strict
-  // hosts-select-only rule): when set, the agent folds selected events into
-  // per-(slot, group) COUNT/SUM cells and ships the deltas instead of the
-  // events. The query server stamps this only for single-source, unsampled
-  // aggregate queries whose aggregates are all COUNT or SUM — the cases
-  // where the host-side fold is exactly the central fold.
-  struct PreAggSpec {
-    AggregateFunc func = AggregateFunc::kCount;
-    bool has_arg = false;
-    ExprProgram arg_program;
-  };
-  bool preaggregate = false;
-  std::vector<ExprProgram> group_by_programs;  // group key, in query order
-  std::vector<PreAggSpec> preagg;              // one per aggregate slot
-
   // Approximate size of this query object on the wire (dissemination cost).
   size_t WireSize() const;
   const HostSourcePlan* FindSource(std::string_view event_type) const;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 
@@ -223,6 +224,34 @@ TEST_F(AgentTest, FlushSplitsLargeBatches) {
   EXPECT_EQ(batches[0].event_count, 100u);
   EXPECT_EQ(batches[1].event_count, 100u);
   EXPECT_EQ(batches[2].event_count, 50u);
+}
+
+TEST_F(AgentTest, ZeroBatchCapShipsOneBatchPerFlush) {
+  AgentConfig config;
+  config.staging_capacity = 4096;
+  config.max_batch_events = 0;  // do not split
+  ScrubAgent agent(1, &meter_, config, 1);
+  agent.InstallQuery(PlanFor(
+      "SELECT COUNT(*) FROM bid WINDOW 60 s DURATION 60 s;"));
+  agent.InstallQuery(PlanFor(
+      "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
+      "GROUP BY impression.line_item_id WINDOW 60 s DURATION 60 s;"));
+  for (int i = 0; i < 250; ++i) {
+    agent.LogEvent(MakeBid(static_cast<RequestId>(i), 100, 1, 1.0));
+    agent.LogEvent(MakeImpression(static_cast<RequestId>(i), 101, 4));
+  }
+  std::vector<EventBatch> batches = agent.Flush(200);
+  ASSERT_EQ(batches.size(), 2u);
+  std::sort(batches.begin(), batches.end(),
+            [](const EventBatch& a, const EventBatch& b) {
+              return a.query_id < b.query_id;
+            });
+  EXPECT_EQ(batches[0].query_id, 1u);
+  EXPECT_EQ(batches[0].format, BatchFormat::kColumnar);
+  EXPECT_EQ(batches[0].event_count, 250u);
+  EXPECT_EQ(batches[1].query_id, 2u);
+  EXPECT_EQ(batches[1].format, BatchFormat::kColumnarJoin);
+  EXPECT_EQ(batches[1].event_count, 500u);
 }
 
 TEST_F(AgentTest, EventsOutsideSpanIgnored) {

@@ -62,6 +62,21 @@ TEST_F(BaselineTest, LoggingChargesHostsAndShipsEverything) {
   EXPECT_GT(pipeline_->data_complete_at(), 0);
 }
 
+TEST_F(BaselineTest, ZeroBatchCapShipsOneBatchPerHost) {
+  BaselineConfig config;
+  config.max_batch_events = 0;  // do not split
+  LoggingPipeline pipeline(&scheduler_, &transport_, &registry_, &schemas_,
+                           warehouse_, config);
+  EventLoggerFn logger = pipeline.Logger();
+  for (int i = 0; i < 250; ++i) {
+    logger(host_a_, MakeBid(i, 100 + i, i % 10, 1.5));
+  }
+  pipeline.PumpFlushes();
+  scheduler_.RunUntil(kMicrosPerSecond);
+  EXPECT_EQ(transport_.messages_sent(TrafficCategory::kBaselineLog), 1u);
+  EXPECT_EQ(pipeline.events_stored(), 250u);
+}
+
 TEST_F(BaselineTest, BatchQueryMatchesExpectedAggregates) {
   // 60 events: users 0..5, prices 1..60, two hosts.
   for (int i = 0; i < 60; ++i) {

@@ -201,22 +201,6 @@ TEST(DescribeQueryTest, ReportsStagingAndColumnEncodings) {
   EXPECT_NE(j.find("source bid:"), std::string::npos) << j;
   EXPECT_NE(j.find("source impression:"), std::string::npos) << j;
   EXPECT_NE(j.find("line_item_id=plain"), std::string::npos) << j;
-
-  // Pre-aggregating queries fold delta cells instead of staging events, so
-  // they render no staging section at all.
-  SystemConfig preagg_config = config;
-  preagg_config.agent_preaggregate = true;
-  ScrubSystem preagg_system(preagg_config);
-  preagg_system.workload().SchedulePoissonLoad(load);
-  Result<SubmittedQuery> preagg_sub = preagg_system.Submit(
-      "SELECT COUNT(*) FROM bid WINDOW 2 s DURATION 4 s;",
-      [](const ResultRow&) {});
-  ASSERT_TRUE(preagg_sub.ok());
-  preagg_system.RunUntil(5 * kMicrosPerSecond);
-  preagg_system.Drain();
-  const std::string r = preagg_system.DescribeQuery(preagg_sub->id);
-  EXPECT_NE(r.find("agent totals:"), std::string::npos) << r;
-  EXPECT_EQ(r.find("staging:"), std::string::npos) << r;
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// Operator-metrics plane, adaptive execution and the calibrated cost model
-// (DESIGN.md §16): per-operator counters accumulate on every pipeline shape
-// (single-source, join, sharded, hierarchical), surface through
-// DescribeQuery / EXPLAIN ANALYZE, survive teardown, drive the
-// AdaptiveController's batch tuning, and feed the predicted-cost admission
-// check.
+// Operator-metrics plane and the calibrated cost model (DESIGN.md §16):
+// per-operator counters accumulate on every pipeline shape (single-source,
+// join, sharded, hierarchical), surface through DescribeQuery / EXPLAIN
+// ANALYZE, survive teardown, and feed the predicted-cost admission check.
 
 #include <string>
 #include <utility>
@@ -11,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/central/adaptive.h"
 #include "src/central/sharded_central.h"
 #include "src/common/rng.h"
 #include "src/event/wire.h"
@@ -251,89 +248,6 @@ TEST(MetricsTest, PeakStateBytesSurviveTeardown) {
   EXPECT_GT(cs->peak_state_bytes, 0u);
   const std::string described = system.DescribeQuery(submitted->id);
   EXPECT_NE(described.find("state peak:"), std::string::npos) << described;
-}
-
-// ---------------------------------------------------------------------------
-// AdaptiveController unit behavior (synthetic stats, recorded overrides).
-// ---------------------------------------------------------------------------
-
-using RecordedOverrides = std::vector<std::pair<QueryId, size_t>>;
-
-AdaptiveController MakeController(const AdaptiveConfig& config,
-                                  RecordedOverrides* rec,
-                                  size_t default_batch = 1024) {
-  return AdaptiveController(
-      config, default_batch,
-      [rec](QueryId id, size_t n) { rec->emplace_back(id, n); });
-}
-
-TEST(AdaptiveControllerTest, DisabledControllerNeverOverrides) {
-  RecordedOverrides rec;
-  AdaptiveConfig config;  // enabled defaults to false: the kill switch
-  AdaptiveController ctl = MakeController(config, &rec);
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  ctl.OnInstall(1, 0);
-  for (int i = 0; i < 10; ++i) {
-    ctl.OnPump(1, i, stats);
-  }
-  EXPECT_TRUE(rec.empty());
-  EXPECT_EQ(ctl.Describe(1), "");
-}
-
-TEST(AdaptiveControllerTest, TunesBatchFromDecodeFill) {
-  RecordedOverrides rec;
-  AdaptiveConfig config;
-  config.enabled = true;
-  config.tune_interval_pumps = 1;
-  config.min_batch_events = 128;
-  config.max_batch_events = 4096;
-  AdaptiveController ctl = MakeController(config, &rec);
-  ctl.OnInstall(1, 0);
-  EXPECT_NE(ctl.Describe(1).find("batch tuning started at 1024"),
-            std::string::npos);
-
-  CentralQueryStats stats;
-  stats.op_metrics.resize(1);
-  // Near-full flushes (avg fill 1000 of cap 1024) double the cap...
-  stats.op_metrics[0].rows_in = 10'000;
-  stats.op_metrics[0].batches = 10;
-  ctl.OnPump(1, 1, stats);
-  ASSERT_EQ(rec.size(), 1u);
-  EXPECT_EQ(rec[0].second, 2048u);
-  // ...and near-empty flushes (avg fill 100 of cap 2048) halve it again.
-  stats.op_metrics[0].rows_in = 11'000;
-  stats.op_metrics[0].batches = 20;
-  ctl.OnPump(1, 2, stats);
-  ASSERT_EQ(rec.size(), 2u);
-  EXPECT_EQ(rec[1].second, 1024u);
-  // An interval without traffic keeps the cap.
-  ctl.OnPump(1, 3, stats);
-  EXPECT_EQ(rec.size(), 2u);
-  EXPECT_NE(ctl.Describe(1).find("adaptive: batch=1024 decisions=3"),
-            std::string::npos)
-      << ctl.Describe(1);
-}
-
-TEST(MetricsTest, AdaptiveDecisionsVisibleInDescribeQuery) {
-  SystemConfig config = SmallSystem();
-  config.adaptive.enabled = true;
-  config.adaptive.tune_interval_pumps = 2;
-  ScrubSystem system(config);
-  DriveLoad(system);
-  auto submitted = system.Submit(kAggQuery, [](const ResultRow&) {});
-  ASSERT_TRUE(submitted.ok());
-  system.RunUntil(5 * kMicrosPerSecond);
-  ASSERT_NE(system.adaptive_controller(), nullptr);
-  const std::string described = system.DescribeQuery(submitted->id);
-  EXPECT_NE(described.find("adaptive: batch="), std::string::npos)
-      << described;
-  EXPECT_NE(described.find("batch tuning started"), std::string::npos)
-      << described;
-  const std::vector<AdaptiveDecision>* decisions =
-      system.adaptive_controller()->DecisionsFor(submitted->id);
-  ASSERT_NE(decisions, nullptr);
-  EXPECT_FALSE(decisions->empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@
 // divergence (a reordered merge, a float summed in a different order, a
 // dropped row) fails loudly.
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -136,11 +137,14 @@ constexpr const char* kAggQuery =
     "SELECT bid.user_id, COUNT(*), SUM(bid.bid_price) FROM bid "
     "GROUP BY bid.user_id WINDOW 1 s DURATION 3 s;";
 
+// `batches_sent`, when non-null, receives the batches every agent shipped
+// for the query (first transmissions, counters-only frames included).
 std::vector<std::string> RunSystem(size_t workers, double drop_rate,
                                    size_t regions = 0,
                                    const char* query = kAggQuery,
                                    bool metrics = true,
-                                   bool adaptive = false) {
+                                   size_t max_batch_events = 1024,
+                                   uint64_t* batches_sent = nullptr) {
   SystemConfig config;
   config.seed = 7;
   config.platform.seed = 7;
@@ -152,13 +156,7 @@ std::vector<std::string> RunSystem(size_t workers, double drop_rate,
   config.workers = workers;
   config.combiner_regions = regions;
   config.central.collect_op_metrics = metrics;
-  if (adaptive) {
-    // A short tuning cadence and a low floor so several batch retunes land
-    // inside the 3 s trace.
-    config.adaptive.enabled = true;
-    config.adaptive.tune_interval_pumps = 2;
-    config.adaptive.min_batch_events = 16;
-  }
+  config.agent.max_batch_events = max_batch_events;
   if (drop_rate > 0) {
     config.faults.Category(TrafficCategory::kScrubEvents).drop = drop_rate;
     config.central.allowed_lateness = 5 * kMicrosPerSecond;
@@ -178,6 +176,17 @@ std::vector<std::string> RunSystem(size_t workers, double drop_rate,
   system.RunUntil(4 * kMicrosPerSecond);
   system.Drain();
   EXPECT_FALSE(transcript.empty());
+  if (batches_sent != nullptr && submitted.ok()) {
+    *batches_sent = 0;
+    for (size_t h = 0; h < system.registry().size(); ++h) {
+      const ScrubAgent* agent = system.agent(static_cast<HostId>(h));
+      const AgentQueryStats* stats =
+          agent == nullptr ? nullptr : agent->StatsFor(submitted->id);
+      if (stats != nullptr) {
+        *batches_sent += stats->batches_sent;
+      }
+    }
+  }
   return transcript;
 }
 
@@ -198,22 +207,27 @@ TEST(SystemDeterminismTest, TwentyPercentDropTranscriptIdenticalAcrossWorkers) {
   EXPECT_EQ(RunSystem(8, 0.2), reference);
 }
 
-TEST(SystemDeterminismTest, MetricsAndAdaptiveMatrixCollapsesToOneTranscript) {
-  // The operator-metrics plane is pure observation and the adaptive
-  // controller only re-chunks flushes, so the whole matrix — metrics
-  // {off,on} x adaptive {off,on} x workers {0,2,8} — must collapse onto the
-  // single reference transcript. Adaptive runs include mid-query batch
-  // retunes; metrics-off + adaptive-on starves the controller (no
-  // counters), which must also be harmless.
+TEST(SystemDeterminismTest, MetricsAndBatchCapMatrixCollapsesToOneTranscript) {
+  // The operator-metrics plane is pure observation and the flush batch cap
+  // only moves chunk boundaries, which carry no fold effects at central, so
+  // the whole matrix — metrics {off,on} x cap {16,1024} x workers {0,2,8} —
+  // must collapse onto the single reference transcript.
   const std::vector<std::string> reference = RunSystem(0, 0.0);
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
     for (const bool metrics : {false, true}) {
-      for (const bool adaptive : {false, true}) {
-        EXPECT_EQ(RunSystem(workers, 0.0, 0, kAggQuery, metrics, adaptive),
-                  reference)
-            << "workers=" << workers << " metrics=" << metrics
-            << " adaptive=" << adaptive;
-      }
+      uint64_t small_batches = 0;
+      uint64_t large_batches = 0;
+      EXPECT_EQ(RunSystem(workers, 0.0, 0, kAggQuery, metrics, 16,
+                          &small_batches),
+                reference)
+          << "workers=" << workers << " metrics=" << metrics << " cap=16";
+      EXPECT_EQ(RunSystem(workers, 0.0, 0, kAggQuery, metrics, 1024,
+                          &large_batches),
+                reference)
+          << "workers=" << workers << " metrics=" << metrics << " cap=1024";
+      // The small cap really re-chunked the flushes.
+      EXPECT_GT(small_batches, large_batches)
+          << "workers=" << workers << " metrics=" << metrics;
     }
   }
 }
@@ -222,16 +236,23 @@ constexpr const char* kJoinQuery =
     "SELECT impression.line_item_id, COUNT(*) FROM bid, impression "
     "GROUP BY impression.line_item_id WINDOW 1 s DURATION 3 s;";
 
-TEST(SystemDeterminismTest, AdaptiveJoinTranscriptNeutralAcrossWorkers) {
-  // Join plans stage per-source sections plus the arrival interleave; batch
-  // retunes re-chunk that interleave and must stay invisible there too.
+TEST(SystemDeterminismTest, JoinBatchCapTranscriptNeutralAcrossWorkers) {
+  // Join plans stage per-source sections plus the arrival interleave; a
+  // smaller cap re-chunks that interleave and must stay invisible there too.
   const std::vector<std::string> reference =
       RunSystem(0, 0.0, /*regions=*/0, kJoinQuery);
   for (const size_t workers : {size_t{0}, size_t{2}, size_t{8}}) {
-    EXPECT_EQ(RunSystem(workers, 0.0, 0, kJoinQuery, /*metrics=*/true,
-                        /*adaptive=*/true),
+    uint64_t small_batches = 0;
+    uint64_t large_batches = 0;
+    EXPECT_EQ(RunSystem(workers, 0.0, 0, kJoinQuery, /*metrics=*/true, 16,
+                        &small_batches),
               reference)
-        << "workers=" << workers;
+        << "workers=" << workers << " cap=16";
+    EXPECT_EQ(RunSystem(workers, 0.0, 0, kJoinQuery, /*metrics=*/true, 1024,
+                        &large_batches),
+              reference)
+        << "workers=" << workers << " cap=1024";
+    EXPECT_GT(small_batches, large_batches) << "workers=" << workers;
   }
 }
 
