@@ -126,24 +126,6 @@ int64_t ScrubAgent::LogEvent(const Event& event) {
   return ns;
 }
 
-void ScrubAgent::HoldForRetransmit(ActiveQuery& q, QueryId query_id,
-                                   const EventBatch& batch, TimeMicros now) {
-  if (config_.retransmit_budget == 0) {
-    return;
-  }
-  std::deque<PendingBatch>& held = retransmit_[query_id];
-  PendingBatch pending;
-  pending.batch = batch;
-  pending.next_retry = now + BackoffFor(0);
-  pending.deadline = now + config_.retransmit_budget;
-  held.push_back(std::move(pending));
-  while (held.size() > config_.retransmit_capacity) {
-    ++q.stats.batches_evicted;
-    q.stats.events_abandoned += held.front().batch.event_count;
-    held.pop_front();
-  }
-}
-
 size_t ScrubAgent::StagedRows(const ActiveQuery& q) const {
   size_t rows = 0;
   for (const std::vector<uint32_t>& r : q.staged_rows) {
@@ -186,7 +168,7 @@ void ScrubAgent::EmitBatch(QueryId query_id, ActiveQuery& q,
   EventBatch batch;
   batch.query_id = query_id;
   batch.host = host_;
-  batch.seq = ++next_seq_[query_id];
+  batch.seq = outbox_.NextSeq(query_id);
   batch.epoch = epoch_;
   batch.format = format;
   batch.payload = std::move(payload);
@@ -202,7 +184,10 @@ void ScrubAgent::EmitBatch(QueryId query_id, ActiveQuery& q,
                       config_.costs.serialize_per_byte_ns);
   ++q.stats.batches_sent;
   // Keep a retransmit copy until acked, budget permitting.
-  HoldForRetransmit(q, query_id, batch, now);
+  outbox_.Hold(batch, now, [&q](const EventBatch& evicted) {
+    ++q.stats.batches_evicted;
+    q.stats.events_abandoned += evicted.event_count;
+  });
   batches->push_back(std::move(batch));
 }
 
@@ -386,77 +371,29 @@ std::vector<EventBatch> ScrubAgent::Flush(TimeMicros now,
   return batches;
 }
 
-TimeMicros ScrubAgent::BackoffFor(int attempts) {
-  TimeMicros base = config_.retransmit_backoff;
-  for (int i = 0; i < attempts && base < 8 * config_.retransmit_backoff;
-       ++i) {
-    base *= 2;
-  }
-  // +/-25% jitter so a fleet's retries do not synchronize.
-  const TimeMicros quarter = std::max<TimeMicros>(base / 4, 1);
-  return base - quarter +
-         static_cast<TimeMicros>(
-             retry_rng_.NextBelow(static_cast<uint64_t>(2 * quarter)));
-}
-
 std::vector<EventBatch> ScrubAgent::Retransmits(TimeMicros now) {
+  // A batch whose budget is spent belonged to a window that has closed at
+  // the receiver anyway: shed and count it.
   std::vector<EventBatch> out;
-  for (auto it = retransmit_.begin(); it != retransmit_.end();) {
-    std::deque<PendingBatch>& held = it->second;
-    AgentQueryStats* stats = MutableStatsFor(it->first);
-    for (auto pit = held.begin(); pit != held.end();) {
-      if (now >= pit->deadline) {
-        // Budget spent: the window this data belonged to has closed at
-        // central anyway. Shed and count.
-        if (stats != nullptr) {
-          ++stats->batches_expired;
-          stats->events_abandoned += pit->batch.event_count;
-        }
-        pit = held.erase(pit);
-        continue;
-      }
-      if (now >= pit->next_retry) {
-        out.push_back(pit->batch);
-        ++pit->attempts;
-        if (stats != nullptr) {
-          ++stats->batches_retransmitted;
-        }
-        pit->next_retry = now + BackoffFor(pit->attempts);
-      }
-      ++pit;
+  outbox_.Retries(now, &out, [this](const EventBatch& batch) {
+    if (AgentQueryStats* stats = MutableStatsFor(batch.query_id)) {
+      ++stats->batches_expired;
+      stats->events_abandoned += batch.event_count;
     }
-    it = held.empty() ? retransmit_.erase(it) : std::next(it);
+  });
+  for (const EventBatch& batch : out) {
+    if (AgentQueryStats* stats = MutableStatsFor(batch.query_id)) {
+      ++stats->batches_retransmitted;
+    }
   }
   return out;
 }
 
 void ScrubAgent::OnAck(QueryId query_id, uint64_t seq) {
-  const auto it = retransmit_.find(query_id);
-  if (it == retransmit_.end()) {
-    return;
+  AgentQueryStats* stats = MutableStatsFor(query_id);
+  if (outbox_.Release(query_id, seq) && stats != nullptr) {
+    ++stats->batches_acked;
   }
-  std::deque<PendingBatch>& held = it->second;
-  for (auto pit = held.begin(); pit != held.end(); ++pit) {
-    if (pit->batch.seq == seq) {
-      AgentQueryStats* stats = MutableStatsFor(query_id);
-      if (stats != nullptr) {
-        ++stats->batches_acked;
-      }
-      held.erase(pit);
-      break;
-    }
-  }
-  if (held.empty()) {
-    retransmit_.erase(it);
-  }
-}
-
-size_t ScrubAgent::pending_retransmits() const {
-  size_t n = 0;
-  for (const auto& [qid, held] : retransmit_) {
-    n += held.size();
-  }
-  return n;
 }
 
 size_t ScrubAgent::shared_staged_events() const {
@@ -477,12 +414,7 @@ AgentQueryStats* ScrubAgent::MutableStatsFor(QueryId query_id) {
 }
 
 const AgentQueryStats* ScrubAgent::StatsFor(QueryId query_id) const {
-  const auto it = queries_.find(query_id);
-  if (it != queries_.end()) {
-    return &it->second.stats;
-  }
-  const auto rit = retired_stats_.find(query_id);
-  return rit == retired_stats_.end() ? nullptr : &rit->second;
+  return const_cast<ScrubAgent*>(this)->MutableStatsFor(query_id);
 }
 
 }  // namespace scrub

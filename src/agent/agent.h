@@ -28,7 +28,6 @@
 #define SRC_AGENT_AGENT_H_
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <string>
 #include <unordered_map>
@@ -37,6 +36,7 @@
 #include "src/common/cost_model.h"
 #include "src/common/rng.h"
 #include "src/common/spill.h"
+#include "src/cluster/delivery.h"
 #include "src/cluster/host_registry.h"
 #include "src/event/column_batch.h"
 #include "src/event/event.h"
@@ -63,11 +63,12 @@ struct WindowCounter {
 
 // One flush's worth of traffic from a host to ScrubCentral for one query.
 //
-// `seq` numbers batches per (host, query) starting at 1; ScrubCentral acks
-// and dedups on it. seq == 0 means "unsequenced": hand-built batches and
-// re-bucketed shard sub-batches bypass dedup entirely. `epoch` is the
-// agent's incarnation, bumped when a host restarts, so a fresh agent's
-// restarting sequence numbers are not mistaken for duplicates.
+// `seq` numbers batches per (host, query) starting at 1; the receiver
+// (ScrubCentral or a regional combiner) acks and dedups on it
+// (src/cluster/delivery.h). seq == 0 means "unsequenced": hand-built
+// batches and re-bucketed shard sub-batches bypass dedup entirely. `epoch`
+// is the agent's incarnation, bumped when a host restarts, so a fresh
+// agent's restarting sequence numbers are not mistaken for duplicates.
 struct EventBatch {
   QueryId query_id = 0;
   HostId host = kInvalidHost;
@@ -90,6 +91,8 @@ struct EventBatch {
     return payload.size() + 32 * counters.size() + 36 +
            (format == BatchFormat::kRow ? 0 : 1);
   }
+
+  EventBatch Clone() const { return *this; }  // the Outbox's held copy
 };
 
 struct AgentConfig {
@@ -104,12 +107,12 @@ struct AgentConfig {
   // A flush splits a query's surviving events into batches of at most this
   // many (0 = do not split: one batch per flush).
   size_t max_batch_events = 1024;
-  // Reliable delivery. A flushed batch is held for retransmission until
-  // acked; unacked batches are re-sent with exponential backoff + jitter
-  // until `retransmit_budget` has elapsed since the flush, then shed and
-  // counted. retransmit_budget == 0 disables the retransmit path (unit-test
-  // agents that are never acked would otherwise hold batches forever);
-  // ScrubSystem derives a budget from the central's allowed lateness.
+  // Reliable delivery (src/cluster/delivery.h): a flushed batch is held
+  // until acked and re-sent with doubling, jittered backoff until
+  // `retransmit_budget` has elapsed since the flush, then shed and counted.
+  // retransmit_budget == 0 disables holding (unit-test agents that are
+  // never acked would otherwise hold batches forever); ScrubSystem derives
+  // a budget from the central's allowed lateness.
   size_t retransmit_capacity = 64;          // held batches per query
   TimeMicros retransmit_backoff = 250 * kMicrosPerMilli;  // first retry
   TimeMicros retransmit_budget = 0;
@@ -158,11 +161,12 @@ class ScrubAgent {
         meter_(meter),
         config_(config),
         rng_(sampling_seed),
-        // A separate stream for retry jitter, so retransmission timing never
-        // perturbs the event-sampling coin flips (faulted and clean runs
-        // must sample identically).
-        retry_rng_(sampling_seed ^ 0x9E3779B97F4A7C15ULL),
-        epoch_(epoch) {
+        epoch_(epoch),
+        // Retry jitter never perturbs sampling: faulted and clean runs must
+        // sample identically.
+        outbox_(config.retransmit_backoff, config.retransmit_budget,
+                config.retransmit_capacity,
+                sampling_seed ^ 0x9E3779B97F4A7C15ULL) {
     staging_accountant_.set_budgets(config_.staging_budget_bytes,
                                     /*total_bytes=*/0);
   }
@@ -189,15 +193,16 @@ class ScrubAgent {
   std::vector<EventBatch> Flush(TimeMicros now,
                                 std::vector<QueryId>* expired = nullptr);
 
-  // Batches whose retry timer has come due (their retransmit copies stay
-  // buffered until acked or expired). Also sheds batches whose retransmit
-  // budget is spent.
+  // Copies of the held batches whose retry has come due (the held copies
+  // stay until acked or expired). Also sheds, and counts, held batches
+  // whose retransmit budget is spent.
   std::vector<EventBatch> Retransmits(TimeMicros now);
 
-  // ScrubCentral acked (host, query, seq): drop the retransmit copy.
+  // The receiver (central or a combiner) acked (query, seq): drop the held
+  // copy.
   void OnAck(QueryId query_id, uint64_t seq);
 
-  size_t pending_retransmits() const;
+  size_t pending_retransmits() const { return outbox_.pending(); }
   uint64_t epoch() const { return epoch_; }
 
   const AgentQueryStats* StatsFor(QueryId query_id) const;
@@ -227,14 +232,6 @@ class ScrubAgent {
 
     explicit ActiveQuery(const HostPlan& p)
         : plan(p), staged_rows(p.sources.size()) {}
-  };
-
-  // A flushed batch awaiting its ack.
-  struct PendingBatch {
-    EventBatch batch;
-    TimeMicros next_retry = 0;
-    TimeMicros deadline = 0;  // flush time + retransmit budget
-    int attempts = 0;
   };
 
   // Stages one sampled event for one of the query's sources, or sheds and
@@ -277,15 +274,11 @@ class ScrubAgent {
   }
 
   // Stamps one outgoing batch (seq, epoch, the query's pending counters on
-  // the first batch of a flush), charges its serialization, and queues it
-  // for shipping and retransmission.
+  // the first batch of a flush), charges its serialization, holds its
+  // retransmit copy, and queues it for shipping.
   void EmitBatch(QueryId query_id, ActiveQuery& q, BatchFormat format,
                  std::string payload, size_t event_count, TimeMicros now,
                  std::vector<EventBatch>* batches);
-
-  // Keeps a retransmit copy of a just-flushed batch, budget permitting.
-  void HoldForRetransmit(ActiveQuery& q, QueryId query_id,
-                         const EventBatch& batch, TimeMicros now);
 
   TimeMicros WindowStartFor(const ActiveQuery& q, TimeMicros ts) const;
 
@@ -297,15 +290,15 @@ class ScrubAgent {
   // behavior), in which case this returns nullptr.
   AgentQueryStats* MutableStatsFor(QueryId query_id);
 
-  // Exponential backoff with +/-25% jitter from the retry stream.
-  TimeMicros BackoffFor(int attempts);
-
   HostId host_;
   CostMeter* meter_;
   AgentConfig config_;
   Rng rng_;
-  Rng retry_rng_;
   uint64_t epoch_;
+  // Seq numbering and retransmit copies. The copies outlive query
+  // retirement: the final flush's batches are still owed to the receiver.
+  // They drain via ack or deadline.
+  Outbox<EventBatch> outbox_;
   // Wire bytes staged per query, against staging_budget_bytes. Released
   // when a flush drains the query's staged rows.
   MemoryAccountant staging_accountant_;
@@ -318,10 +311,6 @@ class ScrubAgent {
   std::unordered_map<std::string, ColumnBatch> shared_;
   std::unordered_map<QueryId, ActiveQuery> queries_;
   std::unordered_map<QueryId, AgentQueryStats> retired_stats_;
-  // Retransmit buffers outlive query retirement: the final flush's batches
-  // are still owed to ScrubCentral. They drain via ack or deadline.
-  std::map<QueryId, std::deque<PendingBatch>> retransmit_;
-  std::unordered_map<QueryId, uint64_t> next_seq_;
   uint64_t total_events_logged_ = 0;
 };
 

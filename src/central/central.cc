@@ -81,10 +81,8 @@ Status ScrubCentral::IngestBatch(const EventBatch& batch, TimeMicros now) {
 
   // Duplicate suppression before any counter or event is folded in: a
   // retransmission that raced its ack must not double-count M_i/m_i or
-  // re-ingest events. seq == 0 batches (hand-built, shard sub-batches)
-  // bypass dedup.
-  if (batch.seq != 0 &&
-      !q.dedup[batch.host][batch.epoch].Insert(batch.seq)) {
+  // re-ingest events.
+  if (!q.dedup.Admit(batch.host, batch.epoch, batch.seq)) {
     ++q.stats.batches_duplicate;
     return OkStatus();
   }

@@ -51,7 +51,7 @@ bool PartialCoordinator::AdmitSequenced(QueryId query_id, HostId sender,
     return false;  // raced teardown
   }
   Coordinator& c = it->second;
-  if (seq != 0 && !c.dedup[sender][epoch].Insert(seq)) {
+  if (!c.dedup.Admit(sender, epoch, seq)) {
     ++c.stats.batches_duplicate;
     return false;
   }

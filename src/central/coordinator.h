@@ -124,8 +124,8 @@ class PartialCoordinator {
     CentralQueryStats stats;
     // window -> group key -> merged accumulators (+ per-host readings).
     std::map<TimeMicros, CoordinatorGroups> windows;
-    // Sender-level dedup (per sender host, per epoch).
-    std::unordered_map<HostId, std::map<uint64_t, SeqTracker>> dedup;
+    // Dedup of sequenced senders (agents or combiners).
+    Inbox dedup;
     // Hosts heard from per slide-grid slot — the completeness source.
     std::map<TimeMicros, std::set<HostId>> window_hosts;
     // Sampled plans: per-slot per-host M_i / m_i. The Finalize estimator

@@ -39,13 +39,13 @@
 #include <limits>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/agent/agent.h"
+#include "src/cluster/delivery.h"
 #include "src/common/cost_model.h"
 #include "src/common/spill.h"
 #include "src/event/schema.h"
@@ -164,28 +164,6 @@ struct ResultRow {
 };
 
 using ResultSink = std::function<void(const ResultRow&)>;
-
-// Duplicate suppression for sequenced batches from one (host, epoch): a
-// contiguous watermark plus the out-of-order seqs beyond it, so state stays
-// O(reorder depth), not O(batches). Shared with ShardedCentral, which dedups
-// at the router before re-bucketing.
-struct SeqTracker {
-  uint64_t contiguous = 0;  // every seq <= this has been seen
-  std::set<uint64_t> ahead;
-
-  // Returns false (duplicate) if seq was already recorded.
-  bool Insert(uint64_t seq) {
-    if (seq <= contiguous || ahead.count(seq) > 0) {
-      return false;
-    }
-    ahead.insert(seq);
-    while (!ahead.empty() && *ahead.begin() == contiguous + 1) {
-      ++contiguous;
-      ahead.erase(ahead.begin());
-    }
-    return true;
-  }
-};
 
 struct CentralConfig {
   // How long past a window's end central waits for stragglers.
@@ -339,8 +317,8 @@ struct QueryState {
   PartialSink partial_sink;  // shard mode (exactly one of the two is set)
   CentralQueryStats stats;
   std::map<TimeMicros, WindowState> windows;  // keyed by window start
-  // Dedup state per sending host, keyed by agent incarnation (epoch).
-  std::unordered_map<HostId, std::map<uint64_t, SeqTracker>> dedup;
+  // Dedup of sequenced agent batches.
+  Inbox dedup;
   // Windows at or before this start have been emitted and erased; events
   // mapping into them are late.
   TimeMicros closed_through = std::numeric_limits<TimeMicros>::min();

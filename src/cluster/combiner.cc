@@ -1,6 +1,5 @@
 #include "src/cluster/combiner.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace scrub {
@@ -77,8 +76,10 @@ RegionalCombiner::RegionalCombiner(const SchemaRegistry* registry, HostId host,
       host_(host),
       config_(std::move(config)),
       epoch_(epoch),
-      retry_rng_(config_.seed ^ (0x9E3779B97F4A7C15ULL * (host + 1))),
-      inner_(std::make_unique<ScrubCentral>(registry_, config_.central)) {}
+      inner_(std::make_unique<ScrubCentral>(registry_, config_.central)),
+      outbox_(config_.retransmit_backoff, config_.retransmit_budget,
+              config_.retransmit_capacity,
+              config_.seed ^ (0x9E3779B97F4A7C15ULL * (host + 1))) {}
 
 Status RegionalCombiner::InstallQuery(const CentralPlan& plan) {
   if (plans_.count(plan.query_id) > 0) {
@@ -108,12 +109,15 @@ void RegionalCombiner::RemoveQuery(QueryId query_id) {
   // query, so there is nobody upstream to merge them.
   inner_->RemoveQuery(query_id);
   plans_.erase(query_id);
+  Forget(query_id);
+}
+
+void RegionalCombiner::Forget(QueryId query_id) {
   dedup_.erase(query_id);
   buffered_.erase(query_id);
   digests_.erase(query_id);
   digest_watermark_.erase(query_id);
-  next_seq_.erase(query_id);
-  held_.erase(query_id);
+  outbox_.Forget(query_id);
 }
 
 RegionalCombiner::Action RegionalCombiner::IngestBatch(const EventBatch& batch,
@@ -125,8 +129,7 @@ RegionalCombiner::Action RegionalCombiner::IngestBatch(const EventBatch& batch,
   }
   // Dedup before the digest ledger and the inner ingest: an agent
   // retransmit whose ack was lost must not double-count counters.
-  if (batch.seq != 0 &&
-      !dedup_[batch.query_id][batch.host][batch.epoch].Insert(batch.seq)) {
+  if (!dedup_[batch.query_id].Admit(batch.host, batch.epoch, batch.seq)) {
     ++stats_.batches_duplicate;
     return Action::kAbsorbed;  // already applied; re-ack
   }
@@ -164,19 +167,6 @@ RegionalCombiner::Action RegionalCombiner::IngestBatch(const EventBatch& batch,
   // empty-window partials keep flat/hierarchical row streams identical.
   (void)inner_->IngestBatch(batch, now);
   return Action::kAbsorbed;
-}
-
-TimeMicros RegionalCombiner::BackoffFor(int attempts) {
-  TimeMicros base = config_.retransmit_backoff;
-  for (int i = 0; i < attempts && base < config_.retransmit_backoff * 8; ++i) {
-    base *= 2;
-  }
-  const TimeMicros quarter = std::max<TimeMicros>(base / 4, 1);
-  const TimeMicros jitter =
-      static_cast<TimeMicros>(retry_rng_.NextBelow(
-          static_cast<uint64_t>(2 * quarter))) -
-      quarter;
-  return std::max<TimeMicros>(base + jitter, 1);
 }
 
 std::vector<PartialEnvelope> RegionalCombiner::PumpUpstream(TimeMicros now) {
@@ -228,7 +218,7 @@ std::vector<PartialEnvelope> RegionalCombiner::PumpUpstream(TimeMicros now) {
     env.query_id = qid;
     env.sender = host_;
     env.epoch = epoch_;
-    env.seq = ++next_seq_[qid];
+    env.seq = outbox_.NextSeq(qid);
     if (has_partials) {
       env.partials = std::move(bit->second);
       bit->second.clear();
@@ -240,40 +230,16 @@ std::vector<PartialEnvelope> RegionalCombiner::PumpUpstream(TimeMicros now) {
       digest.counters = std::move(counters);
       env.digests.push_back(std::move(digest));
     }
-    if (config_.retransmit_budget > 0) {
-      std::deque<HeldEnvelope>& held = held_[qid];
-      if (held.size() >= config_.retransmit_capacity) {
-        held.pop_front();
-        ++stats_.envelopes_evicted;
-      }
-      HeldEnvelope h;
-      h.envelope = env.Clone();
-      h.next_retry = now + BackoffFor(0);
-      h.deadline = now + config_.retransmit_budget;
-      h.attempts = 0;
-      held.push_back(std::move(h));
-    }
+    outbox_.Hold(env, now, [this](const auto&) { ++stats_.envelopes_evicted; });
     ++stats_.envelopes_sent;
     out.push_back(std::move(env));
   }
 
   // Due retransmits, after fresh sends (same discipline as the agent).
-  for (auto& [qid, held] : held_) {
-    for (auto it = held.begin(); it != held.end();) {
-      if (it->deadline <= now) {
-        ++stats_.envelopes_expired;
-        it = held.erase(it);
-        continue;
-      }
-      if (it->next_retry <= now) {
-        ++it->attempts;
-        it->next_retry = now + BackoffFor(it->attempts);
-        ++stats_.envelopes_retransmitted;
-        out.push_back(it->envelope.Clone());
-      }
-      ++it;
-    }
-  }
+  const size_t fresh = out.size();
+  outbox_.Retries(now, &out,
+                  [this](const auto&) { ++stats_.envelopes_expired; });
+  stats_.envelopes_retransmitted += out.size() - fresh;
 
   // GC queries past their span: agents stop flushing at end_time and their
   // retransmit budget bounds stragglers; one more combiner budget covers
@@ -284,15 +250,8 @@ std::vector<PartialEnvelope> RegionalCombiner::PumpUpstream(TimeMicros now) {
   for (auto it = plans_.begin(); it != plans_.end();) {
     const QueryId qid = it->first;
     const bool expired = it->second.end_time + grace <= now;
-    const auto hit = held_.find(qid);
-    const bool quiesced = hit == held_.end() || hit->second.empty();
-    if (expired && quiesced) {
-      dedup_.erase(qid);
-      buffered_.erase(qid);
-      digests_.erase(qid);
-      digest_watermark_.erase(qid);
-      next_seq_.erase(qid);
-      held_.erase(qid);
+    if (expired && !outbox_.Holding(qid)) {
+      Forget(qid);
       it = plans_.erase(it);
     } else {
       ++it;
@@ -302,26 +261,9 @@ std::vector<PartialEnvelope> RegionalCombiner::PumpUpstream(TimeMicros now) {
 }
 
 void RegionalCombiner::OnAck(QueryId query_id, uint64_t seq) {
-  auto it = held_.find(query_id);
-  if (it == held_.end()) {
-    return;
+  if (outbox_.Release(query_id, seq)) {
+    ++stats_.envelopes_acked;
   }
-  std::deque<HeldEnvelope>& held = it->second;
-  for (auto hit = held.begin(); hit != held.end(); ++hit) {
-    if (hit->envelope.seq == seq) {
-      held.erase(hit);
-      ++stats_.envelopes_acked;
-      break;
-    }
-  }
-}
-
-size_t RegionalCombiner::pending_retransmits() const {
-  size_t n = 0;
-  for (const auto& [qid, held] : held_) {
-    n += held.size();
-  }
-  return n;
 }
 
 }  // namespace scrub

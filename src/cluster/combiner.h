@@ -24,14 +24,10 @@
 // regional proxies — do selection and projection only, never lossy
 // cross-host aggregation of raw streams).
 //
-// Reliability mirrors the agent -> central hop, per hop:
-//
-//   agent -> combiner   agent seq/epoch, combiner dedups and acks.
-//   combiner -> central sequenced PartialEnvelopes, held (deep clones) for
-//                       retransmission with jittered exponential backoff
-//                       until acked or the budget expires; the central
-//                       coordinator dedups per (combiner, epoch, seq), so a
-//                       retransmit racing its ack never double-counts.
+// Both hops use the sequenced delivery of src/cluster/delivery.h: a
+// per-query Inbox dedups agent batches before the combiner acks them, and
+// an Outbox holds deep clones of the shipped PartialEnvelopes until the
+// coordinator, which dedups per (combiner, epoch, seq), acks them.
 //
 // A crashed combiner loses its open window state and unshipped envelopes —
 // honest degradation: the lost hosts simply go unheard and the affected
@@ -41,14 +37,12 @@
 #ifndef SRC_CLUSTER_COMBINER_H_
 #define SRC_CLUSTER_COMBINER_H_
 
-#include <deque>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/central/central.h"
-#include "src/common/rng.h"
+#include "src/cluster/delivery.h"
 
 namespace scrub {
 
@@ -84,14 +78,14 @@ struct PartialEnvelope {
   // right order of magnitude, identical for identical content. This is the
   // number the fleet benchmark compares against shipping raw events.
   size_t WireSize() const;
-  PartialEnvelope Clone() const;
+  PartialEnvelope Clone() const;  // deep: the Outbox's held copy
 };
 
 struct CombinerConfig {
   // Inner shard-role central (lateness, budgets, sketch parameters — keep
   // identical to the flat central's so merged state matches).
   CentralConfig central;
-  // Upstream retransmission, mirroring AgentConfig's contract.
+  // Upstream retransmission: the same Outbox contract as AgentConfig's.
   TimeMicros retransmit_backoff = 250 * kMicrosPerMilli;
   TimeMicros retransmit_budget = 0;  // 0 disables holding for retransmit
   size_t retransmit_capacity = 64;   // held envelopes per query
@@ -144,30 +138,21 @@ class RegionalCombiner {
   uint64_t epoch() const { return epoch_; }
   const CombinerStats& stats() const { return stats_; }
   const ScrubCentral& inner() const { return *inner_; }
-  size_t pending_retransmits() const;
+  size_t pending_retransmits() const { return outbox_.pending(); }
 
  private:
-  TimeMicros BackoffFor(int attempts);
-
-  struct HeldEnvelope {
-    PartialEnvelope envelope;
-    TimeMicros next_retry = 0;
-    TimeMicros deadline = 0;
-    int attempts = 0;
-  };
+  // Drops the query's dedup, buffered, digest and delivery state.
+  void Forget(QueryId query_id);
 
   const SchemaRegistry* registry_;
   HostId host_;
   CombinerConfig config_;
   uint64_t epoch_;
-  Rng retry_rng_;
   std::unique_ptr<ScrubCentral> inner_;
   // Installed plans (span gating for digests, GC horizon).
   std::map<QueryId, CentralPlan> plans_;
-  // Per-hop dedup: query -> agent host -> epoch -> tracker.
-  std::map<QueryId,
-           std::unordered_map<HostId, std::map<uint64_t, SeqTracker>>>
-      dedup_;
+  // Per-query dedup of agent batches.
+  std::map<QueryId, Inbox> dedup_;
   // Partials the inner central emitted, awaiting the next pump.
   std::map<QueryId, std::vector<WindowPartial>> buffered_;
   // Counter digests accumulated since the last pump: slot -> host -> sums.
@@ -179,8 +164,8 @@ class RegionalCombiner {
   // envelope then loses data and accounting together: the coordinator never
   // marks a host heard for a window whose region partial it is missing.
   std::map<QueryId, TimeMicros> digest_watermark_;
-  std::map<QueryId, uint64_t> next_seq_;
-  std::map<QueryId, std::deque<HeldEnvelope>> held_;
+  // Upstream seq numbering and held envelopes.
+  Outbox<PartialEnvelope> outbox_;
   CombinerStats stats_;
 };
 

@@ -52,9 +52,9 @@ ScrubSystem::ScrubSystem(SystemConfig config)
   config_.server.lint.query_state_budget_bytes =
       config_.central.query_state_budget_bytes;
 
-  // Reliable delivery: retransmit until the central's straggler grace is
-  // spent (plus one flush round for the initial send), then shed. Heartbeat
-  // counters every flush are what make completeness well-defined.
+  // Reliable delivery (agents and combiners alike): retransmit until the
+  // central's straggler grace plus one flush round is spent, then shed.
+  // Heartbeat counters every flush are what make completeness well-defined.
   if (config_.agent.retransmit_budget <= 0) {
     config_.agent.retransmit_budget =
         config_.central.allowed_lateness + config_.flush_interval;
@@ -192,11 +192,9 @@ CombinerConfig ScrubSystem::MakeCombinerConfig(size_t region) const {
   // independently, never clobbering the real central's runs.
   cfg.central.spill_instance += StrFormat("_r%d", static_cast<int>(region));
   cfg.central.spill_seed ^= 0x9E3779B97F4A7C15ULL * (region + 1);
+  // The agents' delivery contract, budget included.
   cfg.retransmit_backoff = config_.agent.retransmit_backoff;
-  // Same derivation as the agents': retry until central's straggler grace
-  // is spent plus one flush round, then shed honestly.
-  cfg.retransmit_budget =
-      config_.central.allowed_lateness + config_.flush_interval;
+  cfg.retransmit_budget = config_.agent.retransmit_budget;
   cfg.seed = config_.seed ^ (0xc0b1u + region);
   return cfg;
 }
@@ -348,6 +346,23 @@ void ScrubSystem::PumpFlushes() {
   }
 }
 
+void ScrubSystem::SendAck(HostId acker, HostId sender, uint64_t epoch,
+                          QueryId query_id, uint64_t seq) {
+  transport_.Send(
+      acker, sender, 24, TrafficCategory::kScrubAcks,
+      [this, sender, epoch, query_id, seq] {
+        // Resolve the sender at delivery: a restart in between replaced the
+        // object behind the host id, and its fresh seqs are its own.
+        const auto cit = combiners_.find(sender);
+        ScrubAgent* a = agent(sender);
+        if (cit != combiners_.end() && cit->second->epoch() == epoch) {
+          cit->second->OnAck(query_id, seq);
+        } else if (a != nullptr && a->epoch() == epoch) {
+          a->OnAck(query_id, seq);
+        }
+      });
+}
+
 void ScrubSystem::SendBatchToCentral(HostId from, EventBatch batch) {
   const size_t bytes = batch.WireSize();
   transport_.Send(
@@ -355,18 +370,9 @@ void ScrubSystem::SendBatchToCentral(HostId from, EventBatch batch) {
       [this, from, b = std::move(batch)] {
         const Status s = central_->IngestBatch(b, scheduler_.Now());
         (void)s;  // decode failures are programming errors
-        // Ack sequenced batches (duplicates too: the retransmit that
-        // raced a lost ack still needs its buffered copy released).
-        if (b.seq != 0) {
-          transport_.Send(central_host_, from, 24,
-                          TrafficCategory::kScrubAcks,
-                          [this, from, qid = b.query_id, seq = b.seq] {
-                            ScrubAgent* a = agent(from);
-                            if (a != nullptr) {
-                              a->OnAck(qid, seq);
-                            }
-                          });
-        }
+        // Ack duplicates too: the retransmit that raced a lost ack still
+        // needs its held copy released.
+        SendAck(central_host_, from, b.epoch, b.query_id, b.seq);
       });
 }
 
@@ -385,15 +391,7 @@ void ScrubSystem::SendBatchToCombiner(HostId from, HostId chost,
         const RegionalCombiner::Action action =
             it->second->IngestBatch(b, scheduler_.Now());
         if (action == RegionalCombiner::Action::kAbsorbed) {
-          if (b.seq != 0) {
-            transport_.Send(chost, from, 24, TrafficCategory::kScrubAcks,
-                            [this, from, qid = b.query_id, seq = b.seq] {
-                              ScrubAgent* a = agent(from);
-                              if (a != nullptr) {
-                                a->OnAck(qid, seq);
-                              }
-                            });
-          }
+          SendAck(chost, from, b.epoch, b.query_id, b.seq);
           return;
         }
         // kRelay (teardown raced the batch): forward unchanged; central
@@ -403,16 +401,7 @@ void ScrubSystem::SendBatchToCombiner(HostId from, HostId chost,
             chost, central_host_, b.WireSize(), TrafficCategory::kScrubEvents,
             [this, from, b] {
               (void)central_->IngestBatch(b, scheduler_.Now());
-              if (b.seq != 0) {
-                transport_.Send(central_host_, from, 24,
-                                TrafficCategory::kScrubAcks,
-                                [this, from, qid = b.query_id, seq = b.seq] {
-                                  ScrubAgent* a = agent(from);
-                                  if (a != nullptr) {
-                                    a->OnAck(qid, seq);
-                                  }
-                                });
-              }
+              SendAck(central_host_, from, b.epoch, b.query_id, b.seq);
             });
       });
 }
@@ -444,19 +433,8 @@ void ScrubSystem::PumpCombiners(TimeMicros now) {
               }
             }
             // Ack duplicates too (a retransmit racing its lost ack must
-            // release the held clone). The ack resolves the combiner by
-            // host at delivery and checks the incarnation, so a restarted
-            // combiner's fresh seqs are never confused with the dead one's.
-            transport_.Send(central_host_, chost, 24,
-                            TrafficCategory::kScrubAcks,
-                            [this, chost, qid = e.query_id, seq = e.seq,
-                             epoch = e.epoch] {
-                              const auto cit = combiners_.find(chost);
-                              if (cit != combiners_.end() &&
-                                  cit->second->epoch() == epoch) {
-                                cit->second->OnAck(qid, seq);
-                              }
-                            });
+            // release the held clone).
+            SendAck(central_host_, chost, e.epoch, e.query_id, e.seq);
           });
     }
   }
@@ -559,7 +537,8 @@ CostModel ScrubSystem::CalibrateLintCosts() {
   return costs;
 }
 
-std::string ScrubSystem::DescribeQuery(QueryId id) const {
+std::string ScrubSystem::DescribeQuery(QueryId id,
+                                       bool operator_sections) const {
   std::string out = StrFormat("query %llu\n",
                               static_cast<unsigned long long>(id));
   uint64_t considered = 0;
@@ -700,14 +679,14 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
   // when the query is still installed; a hierarchical query renders the
   // combiner tier's shard ops (summed across regions) and the coordinator's
   // Finalize separately, compiled fresh from the retained plan.
-  const auto op_section = [&out](const char* label,
-                                 const PhysicalPipeline* pipe,
-                                 const std::vector<OperatorMetrics>& ms) {
+  const auto op_section = [&out, operator_sections](
+                              const char* label, const PhysicalPipeline* pipe,
+                              const std::vector<OperatorMetrics>& ms) {
     const bool any = std::any_of(ms.begin(), ms.end(),
                                  [](const OperatorMetrics& m) {
                                    return !m.Empty();
                                  });
-    if (!any) {
+    if (!operator_sections || !any) {
       return;
     }
     out += StrFormat("  %s:\n", label);
@@ -782,6 +761,7 @@ std::string ScrubSystem::DescribeQuery(QueryId id) const {
 std::string ScrubSystem::ExplainAnalyze(QueryId id) const {
   const PhysicalPipeline* pipeline = central_->PipelineFor(id);
   const CentralQueryStats* cs = central_->StatsFor(id);
+  const bool hierarchical = coordinator_ != nullptr && hier_plans_.count(id);
   std::string out;
   if (pipeline != nullptr) {
     // EXPLAIN ANALYZE proper: the compiled operator tree annotated with the
@@ -789,37 +769,33 @@ std::string ScrubSystem::ExplainAnalyze(QueryId id) const {
     // collection is off or nothing has run yet).
     out += pipeline->ToString(
         cs != nullptr && !cs->op_metrics.empty() ? &cs->op_metrics : nullptr);
-    if (!out.empty() && out.back() != '\n') {
-      out += '\n';
-    }
-  } else if (coordinator_ != nullptr && hier_plans_.count(id) > 0) {
+  } else if (hierarchical) {
     // Hierarchical query: the physical plan spans two tiers. Render the
     // shard-role pipeline the combiners run (annotated with the partial-
     // envelope metrics summed at the coordinator) and the coordinator's
     // Finalize stage, compiled fresh from the retained plan.
-    const CentralQueryStats* hs = coordinator_->StatsFor(id);
+    const CentralQueryStats* stats = coordinator_->StatsFor(id);
+    const CentralQueryStats hs =
+        stats != nullptr ? *stats : CentralQueryStats{};
     const CentralPlan& plan = hier_plans_.at(id);
     const PhysicalPipeline shard =
         CompilePhysical(plan, PipelineRole::kShard);
     const PhysicalPipeline fin =
         CompilePhysical(plan, PipelineRole::kCoordinator);
-    out += "combiner pipeline (summed across regions):\n";
-    for (size_t i = 0; i < shard.ops.size(); ++i) {
-      const OperatorMetrics* m =
-          hs != nullptr && i < hs->upstream_op_metrics.size()
-              ? &hs->upstream_op_metrics[i]
-              : nullptr;
-      out += "  " + AnnotateOp(shard.ops[i], m);
-    }
-    out += "coordinator pipeline:\n";
-    for (size_t i = 0; i < fin.ops.size(); ++i) {
-      const OperatorMetrics* m =
-          hs != nullptr && i < hs->op_metrics.size() ? &hs->op_metrics[i]
-                                                     : nullptr;
-      out += "  " + AnnotateOp(fin.ops[i], m);
-    }
+    const auto tier = [&out](const char* label, const PhysicalPipeline& pipe,
+                             const std::vector<OperatorMetrics>& ms) {
+      out += label;
+      for (size_t i = 0; i < pipe.ops.size(); ++i) {
+        out += "  " + AnnotateOp(pipe.ops[i], i < ms.size() ? &ms[i] : nullptr);
+      }
+    };
+    tier("combiner pipeline (summed across regions):\n", shard,
+         hs.upstream_op_metrics);
+    tier("coordinator pipeline:\n", fin, hs.op_metrics);
   }
-  out += DescribeQuery(id);
+  // Each operator renders once: above if annotated, else in DescribeQuery.
+  out += DescribeQuery(id, /*operator_sections=*/pipeline == nullptr &&
+                               !hierarchical);
   // Facility-level pressure view: budgets and high-water marks from the
   // accountant, spill-layer totals across every query.
   const MemoryAccountant& acct = central_->accountant();

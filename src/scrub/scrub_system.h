@@ -149,11 +149,13 @@ class ScrubSystem {
   // Runtime diagnostics for a submitted query: per-host agent counters
   // (considered / sampled out / filtered / shipped / dropped) and central
   // counters (ingested / late / joined / rows). Works during the query's
-  // span and after retirement.
-  std::string DescribeQuery(QueryId id) const;
+  // span and after retirement. `operator_sections` false leaves out the
+  // per-operator sections, for a caller that rendered the operators itself.
+  std::string DescribeQuery(QueryId id, bool operator_sections = true) const;
 
   // EXPLAIN ANALYZE: the compiled physical pipeline of an *installed* query
-  // annotated with its runtime counters (DescribeQuery's view) plus the
+  // annotated with its per-operator counters, then DescribeQuery's other
+  // sections (each operator is rendered once), plus the
   // central's memory-pressure ledger — state-byte usage and high-water
   // marks against the configured budgets, and spill-layer totals. The
   // pipeline and budget sections need the query still installed; the
@@ -185,6 +187,11 @@ class ScrubSystem {
   Status InstallHierQuery(const CentralPlan& plan, ResultSink sink);
   void RemoveHierQuery(QueryId id);
   CombinerConfig MakeCombinerConfig(size_t region) const;
+  // Acks message (query_id, seq) from `acker` back to `sender`: the agent or
+  // combiner there releases its held copy if it is still incarnation
+  // `epoch`.
+  void SendAck(HostId acker, HostId sender, uint64_t epoch, QueryId query_id,
+               uint64_t seq);
   void SendBatchToCentral(HostId from, EventBatch batch);
   void SendBatchToCombiner(HostId from, HostId chost, EventBatch batch);
   void PumpCombiners(TimeMicros now);

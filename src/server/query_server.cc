@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/cluster/delivery.h"
 #include "src/common/strings.h"
 #include "src/query/parser.h"
 
@@ -166,13 +167,6 @@ Result<SubmittedQuery> QueryServer::SubmitParsed(const Query& query,
   return out;
 }
 
-TimeMicros QueryServer::Jittered(TimeMicros base) {
-  const TimeMicros quarter = std::max<TimeMicros>(base / 4, 1);
-  return base - quarter +
-         static_cast<TimeMicros>(
-             ctrl_rng_.NextBelow(static_cast<uint64_t>(2 * quarter)));
-}
-
 void QueryServer::Disseminate(QueryId id) {
   ActiveInfo& info = active_.at(id);
   ControlStats& cs = control_stats_[id];
@@ -229,7 +223,8 @@ void QueryServer::SendHostInstall(QueryId id, HostId host) {
 }
 
 void QueryServer::ScheduleInstallRetry(QueryId id) {
-  const TimeMicros delay = Jittered(active_.at(id).retry_backoff);
+  const TimeMicros delay =
+      JitteredDelay(ctrl_rng_, active_.at(id).retry_backoff);
   scheduler_->ScheduleAfter(delay, [this, id] { InstallRetryTick(id); });
 }
 
@@ -330,7 +325,7 @@ void QueryServer::Teardown(QueryId id) {
       std::min(admitted_cost_ns_, it->second.predicted_cost_ns_per_sec);
   active_.erase(it);
   if (!pending.unacked.empty()) {
-    const TimeMicros delay = Jittered(pending.backoff);
+    const TimeMicros delay = JitteredDelay(ctrl_rng_, pending.backoff);
     teardowns_.emplace(id, std::move(pending));
     scheduler_->ScheduleAfter(delay, [this, id] { TeardownRetryTick(id); });
   }
@@ -357,7 +352,7 @@ void QueryServer::TeardownRetryTick(QueryId id) {
   }
   pending.backoff =
       std::min(pending.backoff * 2, config_.control_retry_max_backoff);
-  const TimeMicros delay = Jittered(pending.backoff);
+  const TimeMicros delay = JitteredDelay(ctrl_rng_, pending.backoff);
   scheduler_->ScheduleAfter(delay, [this, id] { TeardownRetryTick(id); });
 }
 

@@ -170,10 +170,6 @@ class QueryServer {
   void SendTeardown(QueryId id, HostId host);
   void TeardownRetryTick(QueryId id);
   void HandleTeardownAck(QueryId id, HostId host);
-  // Backoff +/-25% jitter from the control stream (separate from host
-  // sampling, so retries never perturb which hosts a query lands on).
-  TimeMicros Jittered(TimeMicros base);
-
   Scheduler* scheduler_;
   Transport* transport_;
   HostRegistry* registry_;
@@ -184,6 +180,8 @@ class QueryServer {
   AgentAccessor agents_;
   ServerConfig config_;
   Rng rng_;
+  // Retry jitter (JitteredDelay), separate from host sampling, so retries
+  // never perturb which hosts a query lands on.
   Rng ctrl_rng_;
   QueryId next_query_id_ = 1;
   std::unordered_map<QueryId, ActiveInfo> active_;

@@ -1,13 +1,20 @@
 // Unit tests for the simulated cluster: scheduler determinism, host
-// registry + target resolution, and the transport's latency/byte accounting.
+// registry + target resolution, the transport's latency/byte accounting,
+// and sequenced delivery (Outbox, Inbox, and the combiner's upstream hop).
 
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/combiner.h"
+#include "src/cluster/delivery.h"
 #include "src/cluster/host_registry.h"
 #include "src/cluster/scheduler.h"
 #include "src/cluster/transport.h"
+#include "src/event/wire.h"
+#include "src/query/analyzer.h"
 
 namespace scrub {
 namespace {
@@ -327,6 +334,274 @@ TEST(TransportTest, ByteAccountingPerCategory) {
   EXPECT_EQ(transport.total_bytes(), 350u);
   transport.ResetCounters();
   EXPECT_EQ(transport.total_bytes(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Sequenced delivery.
+// ---------------------------------------------------------------------------
+
+struct TestMsg {
+  uint64_t query_id = 0;
+  uint64_t seq = 0;
+  TestMsg Clone() const { return *this; }
+};
+
+constexpr TimeMicros kBackoff = 100 * kMicrosPerMilli;
+
+// An Outbox under test plus the (query, seq) of every message it shed.
+struct OutboxProbe {
+  OutboxProbe(TimeMicros backoff, TimeMicros budget, size_t capacity)
+      : outbox(backoff, budget, capacity, /*seed=*/42) {}
+
+  // Stamps and sends a message of `query_id`, holding its copy.
+  uint64_t Send(uint64_t query_id, TimeMicros now) {
+    const TestMsg msg{query_id, outbox.NextSeq(query_id)};
+    outbox.Hold(msg, now, [this](const TestMsg& m) {
+      evicted.emplace_back(m.query_id, m.seq);
+    });
+    return msg.seq;
+  }
+
+  std::vector<TestMsg> Retries(TimeMicros now) {
+    std::vector<TestMsg> due;
+    outbox.Retries(now, &due, [this](const TestMsg& m) {
+      expired.emplace_back(m.query_id, m.seq);
+    });
+    return due;
+  }
+
+  Outbox<TestMsg> outbox;
+  std::vector<std::pair<uint64_t, uint64_t>> evicted;
+  std::vector<std::pair<uint64_t, uint64_t>> expired;
+};
+
+using Shed = std::vector<std::pair<uint64_t, uint64_t>>;
+
+TEST(OutboxTest, EvictsTheOldestPastCapacity) {
+  OutboxProbe p(kBackoff, 10 * kMicrosPerSecond, /*capacity=*/2);
+  p.Send(7, 0);
+  p.Send(7, 0);
+  p.Send(8, 0);  // another query's hold is its own
+  EXPECT_TRUE(p.evicted.empty());
+  EXPECT_EQ(p.Send(7, 0), 3u);
+  EXPECT_EQ(p.evicted, (Shed{{7, 1}}));
+  EXPECT_EQ(p.outbox.pending(), 3u);
+  // The evicted message is gone: its late ack releases nothing.
+  EXPECT_FALSE(p.outbox.Release(7, 1));
+  EXPECT_TRUE(p.outbox.Release(7, 3));
+  EXPECT_EQ(p.outbox.pending(), 2u);
+}
+
+TEST(OutboxTest, ZeroCapacityEvictsEverySend) {
+  OutboxProbe p(kBackoff, 10 * kMicrosPerSecond, /*capacity=*/0);
+  for (int i = 0; i < 3; ++i) {
+    p.Send(7, 0);
+  }
+  EXPECT_EQ(p.evicted, (Shed{{7, 1}, {7, 2}, {7, 3}}));
+  EXPECT_EQ(p.outbox.pending(), 0u);
+  EXPECT_FALSE(p.outbox.Holding(7));
+  EXPECT_TRUE(p.Retries(kMicrosPerSecond).empty());
+  EXPECT_TRUE(p.expired.empty());
+}
+
+TEST(OutboxTest, ZeroBudgetHoldsNothingButStillNumbers) {
+  OutboxProbe p(kBackoff, /*budget=*/0, /*capacity=*/2);
+  p.Send(7, 0);
+  EXPECT_EQ(p.outbox.pending(), 0u);
+  EXPECT_TRUE(p.evicted.empty());
+  EXPECT_EQ(p.Send(7, 0), 2u);
+}
+
+TEST(OutboxTest, ExpiresAtTheBudgetAndReleasesOnAck) {
+  const TimeMicros budget = kMicrosPerSecond;
+  // A first retry no earlier than 7.5 s: nothing is re-sent here.
+  OutboxProbe p(10 * kMicrosPerSecond, budget, /*capacity=*/4);
+  p.Send(7, 0);
+  p.Send(7, 0);
+  p.Send(7, 10);
+  EXPECT_TRUE(p.outbox.Release(7, 2));
+  EXPECT_FALSE(p.outbox.Release(7, 2));  // a duplicate ack releases nothing
+  EXPECT_FALSE(p.outbox.Release(8, 1));  // nor does one for another query
+
+  EXPECT_TRUE(p.Retries(budget - 1).empty());
+  EXPECT_TRUE(p.expired.empty());
+  EXPECT_TRUE(p.Retries(budget).empty());
+  EXPECT_EQ(p.expired, (Shed{{7, 1}}));
+  EXPECT_TRUE(p.outbox.Holding(7));
+  EXPECT_TRUE(p.Retries(budget + 10).empty());
+  EXPECT_EQ(p.expired, (Shed{{7, 1}, {7, 3}}));
+  EXPECT_EQ(p.outbox.pending(), 0u);
+  EXPECT_FALSE(p.outbox.Holding(7));
+}
+
+TEST(OutboxTest, RetryDelaysDoubleUpToEightTimesWithinJitter) {
+  // Step the clock 1 us at a time: each gap between re-sends is exactly the
+  // drawn delay, which must lie within +/-25% of 1, 2, 4, 8, 8, 8 x backoff.
+  const TimeMicros backoff = 1000;
+  OutboxProbe p(backoff, /*budget=*/kMicrosPerSecond, /*capacity=*/1);
+  p.Send(7, 0);
+  const std::vector<TimeMicros> factors = {1, 2, 4, 8, 8, 8};
+  TimeMicros last = 0;
+  size_t retries = 0;
+  for (TimeMicros now = 1; retries < factors.size(); ++now) {
+    const std::vector<TestMsg> due = p.Retries(now);
+    if (due.empty()) {
+      continue;
+    }
+    ASSERT_EQ(due.size(), 1u);
+    EXPECT_EQ(due[0].seq, 1u);
+    const TimeMicros base = factors[retries] * backoff;
+    const TimeMicros gap = now - last;
+    EXPECT_GE(gap, base - base / 4) << "retry " << retries;
+    EXPECT_LT(gap, base + base / 4) << "retry " << retries;
+    last = now;
+    ++retries;
+  }
+  EXPECT_TRUE(p.expired.empty());
+  EXPECT_EQ(p.outbox.pending(), 1u);  // re-sending keeps the held copy
+}
+
+TEST(JitteredDelayTest, StaysWithinAQuarterAndAtLeastOneMicro) {
+  Rng rng(7);
+  for (const TimeMicros base : {TimeMicros{100}, TimeMicros{1000},
+                                kBackoff}) {
+    for (int i = 0; i < 1000; ++i) {
+      const TimeMicros d = JitteredDelay(rng, base);
+      EXPECT_GE(d, base - base / 4);
+      EXPECT_LT(d, base + base / 4);
+    }
+  }
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_GE(JitteredDelay(rng, 0), 1);
+    EXPECT_GE(JitteredDelay(rng, 1), 1);
+  }
+}
+
+TEST(InboxTest, UnsequencedMessagesBypassDedup) {
+  Inbox inbox;
+  EXPECT_TRUE(inbox.Admit(/*sender=*/3, /*epoch=*/1, /*seq=*/0));
+  EXPECT_TRUE(inbox.Admit(3, 1, 0));
+}
+
+TEST(InboxTest, AdmitsEachSeqOncePerSenderAndEpoch) {
+  Inbox inbox;
+  EXPECT_TRUE(inbox.Admit(3, 1, 1));
+  EXPECT_FALSE(inbox.Admit(3, 1, 1));
+  // Out of order: a gap is filled once, never twice.
+  EXPECT_TRUE(inbox.Admit(3, 1, 3));
+  EXPECT_TRUE(inbox.Admit(3, 1, 2));
+  EXPECT_FALSE(inbox.Admit(3, 1, 3));
+  EXPECT_FALSE(inbox.Admit(3, 1, 2));
+  // A restarted sender's fresh epoch restarts at seq 1 and is not taken
+  // for a duplicate; neither is another sender's seq 1.
+  EXPECT_TRUE(inbox.Admit(3, 2, 1));
+  EXPECT_FALSE(inbox.Admit(3, 2, 1));
+  EXPECT_TRUE(inbox.Admit(4, 1, 1));
+}
+
+// The combiner's upstream hop: one envelope per closed window, held until
+// the coordinator acks it.
+class CombinerDeliveryTest : public ::testing::Test {
+ protected:
+  CombinerDeliveryTest() {
+    bid_schema_ = *EventSchema::Builder("bid")
+                       .AddField("user_id", FieldType::kLong)
+                       .Build();
+    EXPECT_TRUE(registry_.Register(bid_schema_).ok());
+  }
+
+  std::unique_ptr<RegionalCombiner> MakeCombiner(size_t capacity) {
+    CombinerConfig config;
+    config.central.allowed_lateness = 500 * kMicrosPerMilli;
+    config.retransmit_backoff = 10 * kMicrosPerSecond;  // no re-sends here
+    config.retransmit_budget = 20 * kMicrosPerSecond;
+    config.retransmit_capacity = capacity;
+    auto combiner = std::make_unique<RegionalCombiner>(&registry_,
+                                                       /*host=*/50, config);
+    Result<AnalyzedQuery> aq =
+        ParseAndAnalyze("SELECT COUNT(*) FROM bid WINDOW 1 s DURATION 10 s;",
+                        registry_, AnalyzerOptions{});
+    EXPECT_TRUE(aq.ok()) << aq.status().ToString();
+    Result<QueryPlan> plan = PlanQuery(*aq, kQuery, 0);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_TRUE(combiner->InstallQuery(plan->central).ok());
+    return combiner;
+  }
+
+  // One agent batch with an event in each of the first three windows.
+  EventBatch AgentBatch() const {
+    std::vector<Event> events;
+    for (int w = 0; w < 3; ++w) {
+      Event e(bid_schema_, static_cast<uint64_t>(w + 1),
+              w * kMicrosPerSecond + 100);
+      e.SetField(0, Value(static_cast<int64_t>(w)));
+      events.push_back(std::move(e));
+    }
+    EventBatch batch;
+    batch.query_id = kQuery;
+    batch.host = 0;
+    batch.seq = 1;
+    batch.event_count = events.size();
+    batch.payload = EncodeBatch(events);
+    return batch;
+  }
+
+  // Pumps once per window close (window end + lateness): three envelopes,
+  // seqs 1, 2, 3.
+  static void PumpThreeWindows(RegionalCombiner& combiner) {
+    for (int w = 1; w <= 3; ++w) {
+      const std::vector<PartialEnvelope> out = combiner.PumpUpstream(
+          w * kMicrosPerSecond + 600 * kMicrosPerMilli);
+      ASSERT_EQ(out.size(), 1u) << "window " << w;
+      EXPECT_EQ(out[0].seq, static_cast<uint64_t>(w));
+    }
+  }
+
+  static constexpr QueryId kQuery = 9;
+  SchemaRegistry registry_;
+  SchemaPtr bid_schema_;
+};
+
+TEST_F(CombinerDeliveryTest, EvictsPastCapacityAndReleasesOnAck) {
+  std::unique_ptr<RegionalCombiner> combiner = MakeCombiner(2);
+  const EventBatch batch = AgentBatch();
+  EXPECT_EQ(combiner->IngestBatch(batch, 0),
+            RegionalCombiner::Action::kAbsorbed);
+  // The agent's retransmit is absorbed (and so re-acked) but not re-applied.
+  EXPECT_EQ(combiner->IngestBatch(batch, 0),
+            RegionalCombiner::Action::kAbsorbed);
+  EXPECT_EQ(combiner->stats().batches_absorbed, 1u);
+  EXPECT_EQ(combiner->stats().batches_duplicate, 1u);
+
+  PumpThreeWindows(*combiner);
+  EXPECT_EQ(combiner->stats().envelopes_sent, 3u);
+  EXPECT_EQ(combiner->stats().envelopes_evicted, 1u);
+  EXPECT_EQ(combiner->pending_retransmits(), 2u);
+
+  combiner->OnAck(kQuery, 1);  // evicted already: nothing to release
+  EXPECT_EQ(combiner->stats().envelopes_acked, 0u);
+  combiner->OnAck(kQuery, 3);
+  combiner->OnAck(kQuery, 3);  // a duplicate ack counts once
+  EXPECT_EQ(combiner->stats().envelopes_acked, 1u);
+  EXPECT_EQ(combiner->pending_retransmits(), 1u);
+
+  // Past seq 2's budget it is shed, never re-sent.
+  const std::vector<PartialEnvelope> late =
+      combiner->PumpUpstream(30 * kMicrosPerSecond);
+  EXPECT_TRUE(late.empty());
+  EXPECT_EQ(combiner->stats().envelopes_expired, 1u);
+  EXPECT_EQ(combiner->stats().envelopes_retransmitted, 0u);
+  EXPECT_EQ(combiner->pending_retransmits(), 0u);
+}
+
+TEST_F(CombinerDeliveryTest, ZeroCapacityHoldsNoEnvelope) {
+  std::unique_ptr<RegionalCombiner> combiner = MakeCombiner(0);
+  EXPECT_EQ(combiner->IngestBatch(AgentBatch(), 0),
+            RegionalCombiner::Action::kAbsorbed);
+  PumpThreeWindows(*combiner);
+  EXPECT_EQ(combiner->stats().envelopes_sent, 3u);
+  EXPECT_EQ(combiner->stats().envelopes_evicted, 3u);
+  EXPECT_EQ(combiner->pending_retransmits(), 0u);
 }
 
 }  // namespace

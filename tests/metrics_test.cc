@@ -44,6 +44,33 @@ void DriveLoad(ScrubSystem& system, double qps = 300,
   system.workload().SchedulePoissonLoad(load);
 }
 
+// EXPLAIN ANALYZE renders each operator of `pipes` once: every operator
+// kind's "Name(" occurs as often as the pipelines hold operators of it.
+void ExpectEachOperatorOnce(const std::string& analyzed,
+                            const std::vector<PhysicalPipeline>& pipes) {
+  size_t total = 0;
+  for (const PhysicalOpKind kind :
+       {PhysicalOpKind::kDecode, PhysicalOpKind::kJoin,
+        PhysicalOpKind::kProject, PhysicalOpKind::kGroupFold,
+        PhysicalOpKind::kWindowClose, PhysicalOpKind::kFinalize}) {
+    size_t expected = 0;
+    for (const PhysicalPipeline& pipe : pipes) {
+      for (const PhysicalOp& op : pipe.ops) {
+        expected += op.kind == kind ? 1 : 0;
+      }
+    }
+    const std::string needle = std::string(PhysicalOpKindName(kind)) + "(";
+    size_t seen = 0;
+    for (size_t at = analyzed.find(needle); at != std::string::npos;
+         at = analyzed.find(needle, at + 1)) {
+      ++seen;
+    }
+    EXPECT_EQ(seen, expected) << needle << " in\n" << analyzed;
+    total += expected;
+  }
+  EXPECT_GT(total, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Metrics accumulation per pipeline shape.
 // ---------------------------------------------------------------------------
@@ -209,6 +236,11 @@ TEST(MetricsTest, HierarchicalMetricsReachTheCoordinator) {
   const std::string analyzed = system.ExplainAnalyze(submitted->id);
   EXPECT_NE(analyzed.find("coordinator pipeline:"), std::string::npos)
       << analyzed;
+  const CentralPlan* plan = system.coordinator()->PlanFor(submitted->id);
+  ASSERT_NE(plan, nullptr);
+  ExpectEachOperatorOnce(analyzed,
+                         {CompilePhysical(*plan, PipelineRole::kShard),
+                          CompilePhysical(*plan, PipelineRole::kCoordinator)});
 }
 
 // ---------------------------------------------------------------------------
@@ -226,6 +258,10 @@ TEST(MetricsTest, ExplainAnalyzeRendersAnnotatedOperators) {
   EXPECT_NE(analyzed.find("rows "), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("sel "), std::string::npos) << analyzed;
   EXPECT_NE(analyzed.find("batches"), std::string::npos) << analyzed;
+  const PhysicalPipeline* pipeline =
+      system.central().PipelineFor(submitted->id);
+  ASSERT_NE(pipeline, nullptr);
+  ExpectEachOperatorOnce(analyzed, {*pipeline});
   const std::string described = system.DescribeQuery(submitted->id);
   EXPECT_NE(described.find("operators:"), std::string::npos) << described;
 }
