@@ -4,7 +4,9 @@
 //
 //  * row: per-event predicate (the tree-walking oracle's
 //    EvalPredicateSingle, tests/tree_eval.h), per-event projection copy,
-//    EncodeBatch / DecodeBatch, per-Event fold;
+//    EncodeBatch; central decodes it with DecodeBatch and regroups the
+//    events into per-type columns (DecodeColumnSlice), then folds them
+//    exactly as the columnar run does;
 //  * columnar: ColumnBatch staging, the planner's IR programs over a
 //    selection vector (EvalProgramPredicateBatch, exactly the agent's flush
 //    selection), EncodeColumnBatch / DecodeColumnBatch, per-row fold

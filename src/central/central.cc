@@ -106,47 +106,16 @@ Status ScrubCentral::IngestBatch(const EventBatch& batch, TimeMicros now) {
   return executor_.DecodeAndFold(q, batch.host, batch);
 }
 
-Status ScrubCentral::IngestEvents(QueryId query_id, HostId host,
-                                  const std::vector<Event>& events) {
+Status ScrubCentral::IngestSlice(QueryId query_id, HostId host,
+                                 const ColumnSlice& slice) {
   const auto it = queries_.find(query_id);
   if (it == queries_.end()) {
     return OkStatus();  // raced teardown, mirror IngestBatch
   }
   QueryState& q = it->second;
   ++q.stats.batches;
-  executor_.StampDecodeRows(q, events.size());
-  executor_.Fold(q, host, InputChunk::Rows(events));
-  return OkStatus();
-}
-
-Status ScrubCentral::IngestColumns(QueryId query_id, HostId host,
-                                   std::shared_ptr<const ColumnBatch> batch,
-                                   const uint32_t* selection,
-                                   size_t selected) {
-  const auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return OkStatus();  // raced teardown, mirror IngestBatch
-  }
-  QueryState& q = it->second;
-  ++q.stats.batches;
-  executor_.StampDecodeRows(
-      q, selection != nullptr ? selected : batch->rows());
-  executor_.Fold(q, host,
-                 InputChunk::Columns(std::move(batch), selection, selected));
-  return OkStatus();
-}
-
-Status ScrubCentral::IngestJoinColumns(QueryId query_id, HostId host,
-                                       const ColumnJoinSlice& slice) {
-  const auto it = queries_.find(query_id);
-  if (it == queries_.end()) {
-    return OkStatus();  // raced teardown, mirror IngestBatch
-  }
-  QueryState& q = it->second;
-  ++q.stats.batches;
-  executor_.StampDecodeRows(q, slice.order.size());
-  executor_.FoldColumnJoin(q, host, slice);
-  return OkStatus();
+  executor_.StampDecodeRows(q, slice.size());
+  return executor_.FoldSlice(q, host, slice);
 }
 
 void ScrubCentral::OnTick(TimeMicros now) {

@@ -16,10 +16,11 @@
 // exactly the paper's stance.
 //
 // ScrubCentral itself is a thin facility adapter: it owns query lifecycle
-// (install / dedup / retire) and maps every ingest entry point onto the
+// (install / dedup / retire) and maps both ingest entry points onto the
 // physical-operator Executor (src/central/executor.h), which interprets the
-// pipeline CompilePhysical() built from the plan. Row spans, ColumnBatch
-// selections and shard roles all flow through that one executor.
+// pipeline CompilePhysical() built from the plan. Every batch format decodes
+// to one columnar form (ColumnSlice, src/event/wire.h), and every role —
+// single instance or shard — folds that form through the one executor.
 
 #ifndef SRC_CENTRAL_CENTRAL_H_
 #define SRC_CENTRAL_CENTRAL_H_
@@ -60,31 +61,15 @@ class ScrubCentral {
   // Ingests one host batch (decodes payload against the schema registry).
   Status IngestBatch(const EventBatch& batch, TimeMicros now);
 
-  // Sharded-router fast path: already-decoded, already-deduplicated events
-  // from `host`. The router dedups before re-bucketing and owns counter
-  // accounting, so this skips both; window assignment, the request-id join,
-  // grouping and accumulation are exactly IngestBatch's. Distinct
+  // Sharded-router fast path: an already-decoded, already-deduplicated
+  // slice from `host` (the router decodes once and re-buckets by request
+  // id). The router dedups before re-bucketing and owns counter accounting,
+  // so this skips both; window assignment, the request-id join, grouping and
+  // accumulation are exactly IngestBatch's, in the slice's arrival order.
+  // Sections are shared because join entries may outlive the call. Distinct
   // ScrubCentral instances may run this concurrently (each touches only its
   // own state); one instance must not.
-  Status IngestEvents(QueryId query_id, HostId host,
-                      const std::vector<Event>& events);
-
-  // Columnar twin of IngestEvents: folds the selected rows of a decoded
-  // ColumnBatch straight into accumulators — no per-event Event allocation.
-  // `selection` lists row indices in fold order (nullptr = all rows). Join
-  // plans probe the request-id column directly and materialize only rows
-  // that survive the join, which is why the batch arrives shared: deferred
-  // entries may outlive the call. Same concurrency contract as IngestEvents.
-  Status IngestColumns(QueryId query_id, HostId host,
-                       std::shared_ptr<const ColumnBatch> batch,
-                       const uint32_t* selection, size_t selected);
-
-  // Join twin of IngestColumns: folds a multi-source columnar slice (per-
-  // source sections plus the agent's staging interleave) in the exact order
-  // the rows were staged, so the join transcript is byte-identical to the
-  // interleaved row stream. Same concurrency contract as IngestEvents.
-  Status IngestJoinColumns(QueryId query_id, HostId host,
-                           const ColumnJoinSlice& slice);
+  Status IngestSlice(QueryId query_id, HostId host, const ColumnSlice& slice);
 
   // Closes windows whose grace period has passed; retires queries whose span
   // plus grace has passed. Call periodically from the scheduler.

@@ -12,9 +12,9 @@ namespace scrub {
 namespace {
 
 // Logical state-size estimates for the memory accountant (DESIGN.md §13).
-// These are representation-independent constants — never sizeof(container)
-// or capacity — so the row and columnar pipelines charge identical byte
-// sequences and cross a budget at exactly the same event.
+// These are layout-independent constants — never sizeof(container) or
+// capacity — so every wire format of the same events charges identical byte
+// sequences and crosses a budget at exactly the same event.
 constexpr size_t kGroupStateBytes = 96;    // map node + GroupState shell
 constexpr size_t kJoinBucketBytes = 64;    // join_state node + per-source vecs
 constexpr size_t kJoinEntryBytes = 48;     // JoinEntry shell around the event
@@ -43,6 +43,14 @@ size_t GroupCreationBytes(const CentralConfig& config, const CentralPlan& plan,
     }
   }
   return bytes;
+}
+
+// Plan source index of event type `type`; -1 when it is not a source.
+int SourceIndex(const CentralPlan& plan, const std::string& type) {
+  const auto it = std::find(plan.sources.begin(), plan.sources.end(), type);
+  return it == plan.sources.end()
+             ? -1
+             : static_cast<int>(it - plan.sources.begin());
 }
 
 }  // namespace
@@ -334,52 +342,29 @@ Status Executor::DecodeAndFold(QueryState& q, HostId host,
     m.batches += 1;
     m.cpu_ns += WorkerPool::ThreadCpuNs() - t0;
   };
-  if (batch.format == BatchFormat::kColumnar) {
-    Result<ColumnBatch> cols = DecodeColumnBatch(*registry_, batch.payload);
-    if (!cols.ok()) {
-      return cols.status();
-    }
-    // Shared ownership so buffered join entries can reference rows past the
-    // chunk's lifetime (the batch lives while any entry references it).
-    auto shared = std::make_shared<const ColumnBatch>(std::move(*cols));
-    stamp_decode(shared->rows());
-    Fold(q, host, InputChunk::Columns(std::move(shared), /*selection=*/nullptr,
-                                      /*selected=*/0));
-    return OkStatus();
+  Result<ColumnSlice> slice =
+      DecodeColumnSlice(*registry_, batch.format, batch.payload);
+  if (!slice.ok()) {
+    return slice.status();
   }
-  if (batch.format == BatchFormat::kColumnarJoin) {
-    Result<ColumnJoinBatch> join =
-        DecodeColumnJoinBatch(*registry_, batch.payload);
-    if (!join.ok()) {
-      return join.status();
+  stamp_decode(slice->size());
+  return FoldSlice(q, host, *slice);
+}
+
+Result<std::vector<int>> SliceSources(const CentralPlan& plan,
+                                      const ColumnSlice& slice) {
+  std::vector<int> sources;
+  sources.reserve(slice.sections.size());
+  for (const auto& section : slice.sections) {
+    const std::string& type = section->schema()->type_name();
+    sources.push_back(SourceIndex(plan, type));
+    if (sources.back() < 0) {
+      return InvalidArgument(StrFormat(
+          "batch carries '%s' events, not a source of query %llu",
+          type.c_str(), static_cast<unsigned long long>(plan.query_id)));
     }
-    // Sections are shared for the same reason as single-source columnar
-    // batches: buffered join entries may outlive the fold.
-    ColumnJoinSlice slice;
-    slice.sections.reserve(join->sections.size());
-    for (ColumnBatch& section : join->sections) {
-      slice.sections.push_back(
-          std::make_shared<const ColumnBatch>(std::move(section)));
-    }
-    slice.order = std::move(join->order);
-    // The interleave consumes each section's rows in order, so position i's
-    // row is its section's running count.
-    slice.rows.resize(slice.order.size());
-    std::vector<uint32_t> cursor(slice.sections.size(), 0);
-    for (size_t i = 0; i < slice.order.size(); ++i) {
-      slice.rows[i] = cursor[slice.order[i]]++;
-    }
-    stamp_decode(slice.order.size());
-    FoldColumnJoin(q, host, slice);
-    return OkStatus();
   }
-  Result<std::vector<Event>> events = DecodeBatch(*registry_, batch.payload);
-  if (!events.ok()) {
-    return events.status();
-  }
-  stamp_decode(events->size());
-  Fold(q, host, InputChunk::Rows(*events));
-  return OkStatus();
+  return sources;
 }
 
 void Executor::StampDecodeRows(QueryState& q, size_t rows) {
@@ -396,23 +381,34 @@ void Executor::StampDecodeRows(QueryState& q, size_t rows) {
   m.batches += 1;
 }
 
-void Executor::FoldColumnJoin(QueryState& q, HostId host,
-                              const ColumnJoinSlice& slice) {
+Status Executor::FoldSlice(QueryState& q, HostId host,
+                           const ColumnSlice& slice) {
+  Result<std::vector<int>> sources = SliceSources(q.plan, slice);
+  if (!sources.ok()) {
+    return sources.status();
+  }
+  const size_t n = slice.size();
   size_t i = 0;
-  while (i < slice.order.size()) {
-    const uint8_t s = slice.order[i];
-    size_t j = i + 1;
-    while (j < slice.order.size() && slice.order[j] == s) {
+  while (i < n) {
+    const uint8_t s = slice.section(i);
+    size_t j = slice.order.empty() ? n : i + 1;
+    while (j < n && slice.order[j] == s) {
       ++j;
     }
+    // An empty `rows` means every row of the one section: a null selection.
     Fold(q, host,
-         InputChunk::Columns(slice.sections[s], slice.rows.data() + i,
-                             j - i));
+         InputChunk::Columns(slice.sections[s],
+                             slice.rows.empty() ? nullptr
+                                                : slice.rows.data() + i,
+                             j - i),
+         (*sources)[s]);
     i = j;
   }
+  return OkStatus();
 }
 
-void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
+void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk,
+                    int source) {
   // Chunk-granularity operator metrics: snapshot the stats the fold already
   // maintains, stamp the deltas once at the end. No per-row clock reads.
   const bool metrics = MetricsOn();
@@ -431,24 +427,12 @@ void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
     shed0 = q.stats.events_shed;
     spilled0 = q.stats.events_spilled;
   }
-  // A columnar chunk carries one schema, so the join's source index resolves
-  // once per chunk; row spans may mix types and resolve per event.
-  int column_source = -1;
-  if (chunk.columnar() && q.plan.is_join()) {
-    const std::string& type = chunk.columns->schema()->type_name();
-    for (size_t s = 0; s < q.plan.sources.size(); ++s) {
-      if (q.plan.sources[s] == type) {
-        column_source = static_cast<int>(s);
-        break;
-      }
-    }
-  }
-  // Non-join columnar chunks precompute the group-key / aggregate-argument
+  // Non-join chunks precompute the group-key / aggregate-argument
   // programs in one vectorized pass per program (FoldColumns). Pure
   // computation, so the transcript is identical with or without it.
   ChunkEvalCache cache;
   const ChunkEvalCache* cache_ptr = nullptr;
-  if (chunk.columnar() && !q.plan.is_join()) {
+  if (!q.plan.is_join()) {
     std::vector<const ExprProgram*> programs;
     const auto add = [&](const ExprProgram& p) {
       if (cache.index.emplace(&p, programs.size()).second) {
@@ -486,7 +470,7 @@ void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
       continue;
     }
     for (WindowState* w : windows) {
-      FoldInto(q, *w, chunk, i, column_source, host, cache_ptr);
+      FoldInto(q, *w, chunk, i, source, host, cache_ptr);
     }
   }
   if (metrics) {
@@ -495,7 +479,7 @@ void Executor::Fold(QueryState& q, HostId host, const InputChunk& chunk) {
 }
 
 void Executor::FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
-                        size_t i, int column_source, HostId host,
+                        size_t i, int source, HostId host,
                         const ChunkEvalCache* cache) {
   if (!w.replaying) {
     ++w.input_events;  // fidelity denominator: folded, deferred, or shed
@@ -518,47 +502,28 @@ void Executor::FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
   ++hs.received;
 
   if (q.plan.is_join()) {
-    JoinFold(q, w, chunk, i, column_source, host);
+    JoinFold(q, w, chunk, i, source, host);
     return;
   }
 
-  if (chunk.columnar()) {
-    const ColumnBatch& batch = *chunk.columns;
-    const size_t row = chunk.row(i);
-    // Per-host readings for the Eq. 1-3 slots.
-    for (size_t b = 0; b < q.pipeline.bounded_aggregates.size(); ++b) {
-      const AggregateSpec& spec = q.plan.aggregates[static_cast<size_t>(
-          q.pipeline.bounded_aggregates[b])];
-      double v = 1.0;  // COUNT: indicator reading
-      if (spec.func == AggregateFunc::kSum) {
-        const Value* cached =
-            cache != nullptr ? cache->Lookup(spec.arg_program, i) : nullptr;
-        const Value arg = cached != nullptr
-                              ? *cached
-                              : EvalProgramColumns(spec.arg_program, batch,
-                                                   row);
-        v = arg.is_numeric() ? arg.AsNumber() : 0.0;
-      }
-      hs.readings[b].Add(v);
-    }
-    GroupFoldColumn(q, w, batch, row, host, cache, i);
-    return;
-  }
-
-  const Event& event = (*chunk.events)[i];
-  EventTuple tuple{&event};
+  const ColumnBatch& batch = *chunk.columns;
+  const size_t row = chunk.row(i);
   // Per-host readings for the Eq. 1-3 slots.
   for (size_t b = 0; b < q.pipeline.bounded_aggregates.size(); ++b) {
     const AggregateSpec& spec = q.plan.aggregates[static_cast<size_t>(
         q.pipeline.bounded_aggregates[b])];
     double v = 1.0;  // COUNT: indicator reading
     if (spec.func == AggregateFunc::kSum) {
-      const Value arg = EvalProgram(spec.arg_program, tuple);
+      const Value* cached =
+          cache != nullptr ? cache->Lookup(spec.arg_program, i) : nullptr;
+      const Value arg = cached != nullptr
+                            ? *cached
+                            : EvalProgramColumns(spec.arg_program, batch, row);
       v = arg.is_numeric() ? arg.AsNumber() : 0.0;
     }
     hs.readings[b].Add(v);
   }
-  GroupFoldTuple(q, w, tuple, host);
+  GroupFoldColumn(q, w, batch, row, host, cache, i);
 }
 
 bool Executor::OverBudget(const QueryState& q) const {
@@ -573,13 +538,6 @@ void Executor::ShedEvent(QueryState& q, WindowState& w) {
 void Executor::ChargeState(QueryState& q, WindowState& w, size_t bytes) {
   accountant_->Charge(q.plan.query_id, bytes);
   w.state_bytes += bytes;
-}
-
-size_t Executor::LogicalEventSize(const InputChunk& chunk, size_t i) const {
-  if (chunk.columnar()) {
-    return chunk.columns->MaterializeEvent(chunk.row(i)).WireSize();
-  }
-  return (*chunk.events)[i].WireSize();
 }
 
 void Executor::SpillOrShed(QueryState& q, WindowState& w,
@@ -603,11 +561,7 @@ void Executor::SpillOrShed(QueryState& q, WindowState& w,
     return;
   }
   std::string payload;
-  if (chunk.columnar()) {
-    EncodeEvent(chunk.columns->MaterializeEvent(chunk.row(i)), &payload);
-  } else {
-    EncodeEvent((*chunk.events)[i], &payload);
-  }
+  EncodeEvent(chunk.columns->MaterializeEvent(chunk.row(i)), &payload);
   meter_->ChargeScrub(static_cast<int64_t>(payload.size()) *
                       config_->costs.serialize_per_byte_ns);
   const size_t wrote = w.spill->Append(static_cast<uint32_t>(host), payload);
@@ -630,16 +584,22 @@ void Executor::ReplaySpill(QueryState& q, WindowState* w) {
     w->replaying = true;
     uint32_t host = 0;
     std::string payload;
-    std::vector<Event> one(1);
     while (run.Next(&host, &payload)) {
       size_t offset = 0;
       Result<Event> event = DecodeEvent(*registry_, payload, &offset);
       if (!event.ok()) {
         break;  // corrupt record: the remainder is lost, counted below
       }
-      one[0] = std::move(*event);
-      FoldInto(q, *w, InputChunk::Rows(one), 0, /*column_source=*/-1,
-               static_cast<HostId>(host));
+      // Spilled events were admitted by FoldSlice, so their type is one of
+      // the plan's sources; a record that is not is corrupt like any other.
+      const int source = SourceIndex(q.plan, event->type_name());
+      if (source < 0) {
+        break;
+      }
+      auto one = std::make_shared<ColumnBatch>(event->schema());
+      one->AppendEvent(*event);
+      FoldInto(q, *w, InputChunk::Columns(std::move(one), nullptr, 0), 0,
+               source, static_cast<HostId>(host));
       ++replayed;
     }
     w->replaying = false;
@@ -654,22 +614,8 @@ void Executor::ReplaySpill(QueryState& q, WindowState* w) {
 }
 
 void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
-                        size_t i, int column_source, HostId host) {
+                        size_t i, int source, HostId host) {
   // Symmetric hash join on request id, scoped to the window.
-  int source = column_source;
-  if (!chunk.columnar()) {
-    const Event& event = (*chunk.events)[i];
-    source = -1;
-    for (size_t s = 0; s < q.plan.sources.size(); ++s) {
-      if (q.plan.sources[s] == event.type_name()) {
-        source = static_cast<int>(s);
-        break;
-      }
-    }
-  }
-  if (source < 0) {
-    return;  // not part of this query (shouldn't happen: host filtered)
-  }
   const RequestId rid = chunk.request_id(i);
   const bool track = accountant_ != nullptr && accountant_->active();
   auto state_it = w.join_state.find(rid);
@@ -690,52 +636,42 @@ void Executor::JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
   }
   auto& per_request = state_it->second;
   per_request.resize(q.plan.sources.size());
-  // Columnar inputs stay columnar: the equi-key probe above read straight
-  // off the request-id column, and the entry keeps only a (batch, row)
-  // reference that later probes bind through TupleSlot.
-  JoinEntry self =
-      chunk.columnar()
-          ? JoinEntry(chunk.columns, static_cast<uint32_t>(chunk.row(i)))
-          : JoinEntry((*chunk.events)[i]);
+  // The equi-key probe above read straight off the request-id column, and
+  // the entry keeps only a (batch, row) reference that later probes bind
+  // through TupleSlot.
+  const auto row = static_cast<uint32_t>(chunk.row(i));
   // Probe the other side(s) before inserting: new tuples are exactly the
   // cross product of this event with previously arrived partners. Joined
-  // tuples fold through mixed slots, so a columnar side never materializes
-  // an Event: its slot points straight into the decoded batch.
+  // tuples fold through slots that point straight into the decoded batches,
+  // so no side ever materializes an Event.
   std::vector<TupleSlot> slots(q.plan.sources.size());
-  TupleSlot& self_slot = slots[static_cast<size_t>(source)];
-  if (chunk.columnar()) {
-    self_slot.batch = chunk.columns.get();
-    self_slot.row = static_cast<uint32_t>(chunk.row(i));
-  } else {
-    self_slot.event = &(*chunk.events)[i];
-  }
+  slots[static_cast<size_t>(source)] = TupleSlot{chunk.columns.get(), row};
   for (size_t other = 0; other < per_request.size(); ++other) {
     if (static_cast<int>(other) == source) {
       continue;
     }
-    for (JoinEntry& e2 : per_request[other]) {
+    for (const JoinEntry& e2 : per_request[other]) {
       meter_->ChargeScrub(config_->costs.central_join_probe_ns);
-      if (e2.columns != nullptr) {
-        slots[other] = TupleSlot{nullptr, e2.columns.get(), e2.row};
-      } else {
-        slots[other] = TupleSlot{&e2.event, nullptr, 0};
-      }
+      slots[other] = TupleSlot{e2.columns.get(), e2.row};
       ++q.stats.tuples_joined;
       GroupFoldMixed(q, w, slots, host);
     }
     slots[other] = TupleSlot{};  // absent again for the next partner source
   }
   if (track) {
-    ChargeState(q, w, kJoinEntryBytes + LogicalEventSize(chunk, i));
+    // Logical (wire) size of the event, whatever format it arrived in.
+    ChargeState(q, w,
+                kJoinEntryBytes +
+                    chunk.columns->MaterializeEvent(row).WireSize());
   }
-  per_request[static_cast<size_t>(source)].push_back(std::move(self));
+  per_request[static_cast<size_t>(source)].push_back(
+      JoinEntry{chunk.columns, row});
 }
 
-// The one group-fold body. Every tuple representation — row EventTuple,
-// columnar (batch, row), mixed join slots — funnels through here with its
-// own `eval`, so the raw-emission path, group creation and accounting, the
-// Eq. 1-3 readings, and the null-skip aggregate update cannot drift between
-// representations.
+// The one group-fold body. Single-source rows and join tuples funnel through
+// here with their own `eval`, so the raw-emission path, group creation and
+// accounting, the Eq. 1-3 readings, and the null-skip aggregate update
+// cannot drift between them.
 template <typename EvalFn>
 void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
                              EvalFn&& eval) {
@@ -787,12 +723,6 @@ void Executor::GroupFoldWith(QueryState& q, WindowState& w, HostId host,
     }
     UpdateAccumulatorValue(spec, &group.accumulators[i], arg);
   }
-}
-
-void Executor::GroupFoldTuple(QueryState& q, WindowState& w,
-                              const EventTuple& tuple, HostId host) {
-  GroupFoldWith(q, w, host,
-                [&](const ExprProgram& e) { return EvalProgram(e, tuple); });
 }
 
 void Executor::GroupFoldColumn(QueryState& q, WindowState& w,
@@ -1009,8 +939,7 @@ void Executor::CloseWindow(QueryState& q, WindowState* w) {
   };
 
   // Join orphans: request ids where one side never arrived. Orphaned
-  // columnar entries drop with the window without ever materializing an
-  // Event.
+  // entries drop with the window without ever materializing an Event.
   for (const auto& [rid, per_source] : w->join_state) {
     bool complete = true;
     uint64_t total = 0;

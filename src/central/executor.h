@@ -4,12 +4,13 @@
 // (row fold, columnar fold, sharded re-bucket layer). The executor carves it
 // into the per-operator units a compiled PhysicalPipeline names:
 //
-//   Decode      — wire payload -> InputChunk (row span or ColumnBatch).
-//   Join        — symmetric hash join on request id, window-scoped. Columnar
-//                 inputs probe on the request-id column and stay deferred as
-//                 (batch, row) references; a row materializes an Event at
-//                 most once, when it first participates in a joined tuple —
-//                 join orphans never materialize at all.
+//   Decode      — wire payload -> ColumnSlice (DecodeColumnSlice): every
+//                 batch format decodes to per-type ColumnBatch sections plus
+//                 their arrival interleave, folded as InputChunk runs.
+//   Join        — symmetric hash join on request id, window-scoped. Inputs
+//                 probe on the request-id column and stay deferred as
+//                 (batch, row) references; joined tuples bind them in place,
+//                 so no Event is ever materialized.
 //   GroupFold   — group-key evaluation + accumulator update (or, raw mode,
 //                 Project: eager per-tuple row emission).
 //   WindowClose — lateness-gated close: completeness, orphan accounting,
@@ -28,8 +29,9 @@
 //
 // Everything here preserves the exact observable sequence of the code it
 // was carved from — meter charges, stats increments, map insertion orders —
-// so transcripts are byte-identical to the pre-executor central for every
-// worker-count x pipeline combination (the determinism suites enforce it).
+// so transcripts are byte-identical for every worker count and every wire
+// format of the same event stream (the determinism and format-matrix suites
+// enforce it).
 
 #ifndef SRC_CENTRAL_EXECUTOR_H_
 #define SRC_CENTRAL_EXECUTOR_H_
@@ -179,8 +181,8 @@ struct CentralConfig {
   // Logical-byte budgets over WindowState group maps and join buffers
   // (0 = unlimited). When a query crosses its budget, its open windows
   // switch to defer-and-replay spill; when the central total crosses, every
-  // query's do. Charges use logical (wire) sizes, so the row and columnar
-  // pipelines cross a budget at exactly the same event.
+  // query's do. Charges use logical (wire) sizes, so every batch format of
+  // the same events crosses a budget at exactly the same event.
   size_t query_state_budget_bytes = 0;
   size_t central_state_budget_bytes = 0;
   // Track state bytes (accountant high-water marks) even without budgets.
@@ -271,18 +273,11 @@ struct HostWindowStats {
   std::vector<RunningStats> readings;
 };
 
-// One buffered join input. Row-path entries carry a materialized Event;
-// columnar entries hold a (batch, row) reference that a joined tuple binds
-// in place through TupleSlot, so a columnar entry is never materialized.
+// One buffered join input: a (batch, row) reference that a joined tuple
+// binds in place through TupleSlot, so an entry is never materialized.
 struct JoinEntry {
-  Event event;
-  std::shared_ptr<const ColumnBatch> columns;  // non-null for columnar entries
+  std::shared_ptr<const ColumnBatch> columns;
   uint32_t row = 0;
-
-  JoinEntry() = default;
-  explicit JoinEntry(Event e) : event(std::move(e)) {}
-  JoinEntry(std::shared_ptr<const ColumnBatch> batch, uint32_t r)
-      : columns(std::move(batch)), row(r) {}
 };
 
 struct WindowState {
@@ -339,20 +334,15 @@ struct QueryState {
 
 // ---------------------------------------------------------------------------
 
-// A decoded kColumnarJoin batch (or a re-bucketed slice of one): the shared
-// per-source columnar sections plus this consumer's arrival-order interleave.
-// order[i] names the section of the i-th event, rows[i] (parallel) its row
-// within that section. Sections are shared so join entries can stay deferred
-// past the fold.
-struct ColumnJoinSlice {
-  std::vector<std::shared_ptr<const ColumnBatch>> sections;
-  std::vector<uint8_t> order;
-  std::vector<uint32_t> rows;
-};
+// Plan source index of each section of `slice`. A section whose type is not
+// one of the plan's sources fails the whole slice: nothing of it may fold
+// (its columns would be read under another schema's field indexes).
+Result<std::vector<int>> SliceSources(const CentralPlan& plan,
+                                      const ColumnSlice& slice);
 
 // Per-chunk precomputed column evaluations (vectorized FoldColumns), keyed
-// by program identity and indexed by chunk position. Built once per columnar
-// non-join chunk; the per-row folds consult it and fall back to the per-row
+// by program identity and indexed by chunk position. Built once per non-join
+// chunk; the per-row folds consult it and fall back to the per-row
 // evaluator for any program not precomputed. Pure caching: building or
 // skipping it changes no observable (charges, stats, transcripts).
 struct ChunkEvalCache {
@@ -375,27 +365,27 @@ class Executor {
       : registry_(registry), config_(config), meter_(meter),
         accountant_(accountant), spill_(spill) {}
 
-  // Decode operator: wire payload -> InputChunk, then Fold. (The dedup and
-  // counter admission stays with the owning facility.)
+  // Decode operator: wire payload -> ColumnSlice, then FoldSlice. (The
+  // dedup and counter admission stays with the owning facility.)
   Status DecodeAndFold(QueryState& q, HostId host, const EventBatch& batch);
 
-  // Window-assigns each chunk position, then runs Join / GroupFold /
-  // Project per covering window. One loop for both representations.
-  void Fold(QueryState& q, HostId host, const InputChunk& chunk);
-
-  // Folds a decoded (or re-bucketed) kColumnarJoin slice by replaying its
-  // arrival interleave: consecutive same-section positions fold as one
-  // columnar chunk, which preserves the exact per-position transcript of the
-  // row path's single interleaved batch (Fold's per-chunk preamble has no
-  // observable effects).
   // Books decode rows for pre-decoded ingestion (the sharded router decodes
-  // once and feeds shards Events/columns directly): honest row and batch
-  // counts on the Decode op, no CPU stamp — the decode time was spent at
-  // the router, not on this shard. Mirrors the fused-join convention.
+  // once and feeds shards slices directly): honest row and batch counts on
+  // the Decode op, no CPU stamp — the decode time was spent at the router,
+  // not on this shard. Mirrors the fused-join convention.
   void StampDecodeRows(QueryState& q, size_t rows);
 
-  void FoldColumnJoin(QueryState& q, HostId host,
-                      const ColumnJoinSlice& slice);
+  // Folds a decoded (or re-bucketed) slice by replaying its arrival
+  // interleave: each section's plan source resolves once (SliceSources; a
+  // foreign section fails the slice before anything folds), then consecutive
+  // same-section positions fold as one chunk, which preserves the exact
+  // per-position arrival order (Fold's per-chunk preamble has no observable
+  // effects).
+  Status FoldSlice(QueryState& q, HostId host, const ColumnSlice& slice);
+
+  // Window-assigns each chunk position, then runs Join / GroupFold /
+  // Project per covering window. `source` is the chunk's plan source index.
+  void Fold(QueryState& q, HostId host, const InputChunk& chunk, int source);
 
   // WindowClose operator: completeness + orphan accounting, then Finalize
   // (row emission) or WindowPartial export (shard role).
@@ -428,7 +418,7 @@ class Executor {
   // pressure the event is deferred to the window's spill run (or shed and
   // counted) instead.
   void FoldInto(QueryState& q, WindowState& w, const InputChunk& chunk,
-                size_t i, int column_source, HostId host,
+                size_t i, int source, HostId host,
                 const ChunkEvalCache* cache = nullptr);
   // True once the query (or the whole central) is over its state budget.
   bool OverBudget(const QueryState& q) const;
@@ -438,38 +428,31 @@ class Executor {
                    size_t i, HostId host);
   void ShedEvent(QueryState& q, WindowState& w);
   // Replays the window's spill run through the ordinary fold (arrival
-  // order), counting records a read failure lost; then discards the run.
+  // order, each record as a one-row chunk), counting records a read failure
+  // lost; then discards the run.
   void ReplaySpill(QueryState& q, WindowState* w);
   // Accountant charge tied to the window (released when the window closes).
   void ChargeState(QueryState& q, WindowState& w, size_t bytes);
-  // Logical (wire) size of chunk position i — identical for the row and
-  // columnar representations of the same event.
-  size_t LogicalEventSize(const InputChunk& chunk, size_t i) const;
-  // Join operator. `column_source` is the chunk's source index (columnar
-  // chunks carry one schema); row positions resolve per event.
+  // Join operator. `source` is the chunk's plan source index.
   void JoinFold(QueryState& q, WindowState& w, const InputChunk& chunk,
-                size_t i, int column_source, HostId host);
-  // GroupFold/Project with the row's representation abstracted behind an
-  // expression evaluator: one body for row tuples, columnar rows, and mixed
-  // join tuples, so the folds cannot drift from each other. Defined in the
-  // .cc (every instantiation lives there).
+                size_t i, int source, HostId host);
+  // GroupFold/Project with the tuple abstracted behind an expression
+  // evaluator: one body for single-source rows and join tuples, so the folds
+  // cannot drift from each other. Defined in the .cc (every instantiation
+  // lives there).
   template <typename EvalFn>
   void GroupFoldWith(QueryState& q, WindowState& w, HostId host,
                      EvalFn&& eval);
-  // GroupFold/Project over a joined (or singleton) row tuple.
-  void GroupFoldTuple(QueryState& q, WindowState& w, const EventTuple& tuple,
-                      HostId host);
   // GroupFold/Project straight off columns (non-join plans). `pos` is the
   // chunk position for `cache` lookups (cache may be null).
   void GroupFoldColumn(QueryState& q, WindowState& w,
                        const ColumnBatch& batch, size_t row, HostId host,
                        const ChunkEvalCache* cache, size_t pos);
-  // GroupFold/Project over a mixed join tuple (column-direct where a side
-  // arrived columnar).
+  // GroupFold/Project over a join tuple.
   void GroupFoldMixed(QueryState& q, WindowState& w,
                       const std::vector<TupleSlot>& slots, HostId host);
-  // Accumulator update with the argument already evaluated (shared by the
-  // row and columnar folds; `arg` is null for argument-less aggregates).
+  // Accumulator update with the argument already evaluated (`arg` is null
+  // for argument-less aggregates).
   void UpdateAccumulatorValue(const AggregateSpec& spec, AggAccumulator* acc,
                               const Value& arg);
   // Finalize operator for one slot (single-instance close): Eq. 1-3 over

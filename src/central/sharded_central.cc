@@ -102,10 +102,7 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
   (void)now;
   // Serial admission pass, in batch order: routing, dedup, completeness
   // accounting. All coordinator state; cheap relative to decode + fold.
-  struct Admitted {
-    const EventBatch* batch;
-  };
-  std::vector<Admitted> admitted;
+  std::vector<const EventBatch*> admitted;
   admitted.reserve(batches.size());
   for (const EventBatch& batch : batches) {
     // Dedup here, before re-bucketing: sub-batches are unsequenced. A false
@@ -123,179 +120,92 @@ Status ShardedCentral::IngestBatches(const std::vector<EventBatch>& batches,
     if (batch.event_count == 0) {
       continue;
     }
-    admitted.push_back(Admitted{&batch});
+    admitted.push_back(&batch);
   }
 
-  // Parallel decode: each batch is independent and the decoders read only
-  // the (immutable) schema registry. Columnar payloads decode into a shared
-  // ColumnBatch the shard tasks later index read-only through per-shard
-  // selection vectors; the ParallelFor join orders the decode before every
-  // shard read.
-  struct Decoded {
-    std::vector<Event> events;                 // row format
-    std::shared_ptr<const ColumnBatch> columns;  // columnar format
-    // Columnar join format: per-source sections plus the staging interleave.
-    std::vector<std::shared_ptr<const ColumnBatch>> join_sections;
-    std::vector<uint8_t> join_order;
-  };
-  std::vector<Decoded> decoded(admitted.size());
+  // Parallel decode: each batch is independent and the decoder reads only
+  // the (immutable) schema registry and plans. Every format decodes to one
+  // ColumnSlice whose shared sections the shard tasks later index read-only
+  // through per-shard row lists; the ParallelFor join orders the decode
+  // before every shard read. A batch whose sections are not all plan sources
+  // fails here, whole, like an undecodable payload.
+  std::vector<ColumnSlice> decoded(admitted.size());
   std::vector<Status> decode_status(admitted.size());
   pool_.ParallelFor(admitted.size(), [&](size_t k) {
-    if (admitted[k].batch->format == BatchFormat::kColumnar) {
-      Result<ColumnBatch> cols =
-          DecodeColumnBatch(*registry_, admitted[k].batch->payload);
-      if (cols.ok()) {
-        decoded[k].columns =
-            std::make_shared<const ColumnBatch>(std::move(*cols));
-      } else {
-        decode_status[k] = cols.status();
-      }
+    const EventBatch& batch = *admitted[k];
+    Result<ColumnSlice> slice =
+        DecodeColumnSlice(*registry_, batch.format, batch.payload);
+    if (!slice.ok()) {
+      decode_status[k] = slice.status();
       return;
     }
-    if (admitted[k].batch->format == BatchFormat::kColumnarJoin) {
-      Result<ColumnJoinBatch> join =
-          DecodeColumnJoinBatch(*registry_, admitted[k].batch->payload);
-      if (join.ok()) {
-        decoded[k].join_sections.reserve(join->sections.size());
-        for (ColumnBatch& section : join->sections) {
-          decoded[k].join_sections.push_back(
-              std::make_shared<const ColumnBatch>(std::move(section)));
-        }
-        decoded[k].join_order = std::move(join->order);
-      } else {
-        decode_status[k] = join.status();
-      }
+    Result<std::vector<int>> sources =
+        SliceSources(*coordinator_.PlanFor(batch.query_id), *slice);
+    if (!sources.ok()) {
+      decode_status[k] = sources.status();
       return;
     }
-    Result<std::vector<Event>> events =
-        DecodeBatch(*registry_, admitted[k].batch->payload);
-    if (events.ok()) {
-      decoded[k].events = std::move(*events);
-    } else {
-      decode_status[k] = events.status();
-    }
+    decoded[k] = std::move(slice).value();
   });
-  // Sequential contract: batches before the first decode failure are fully
-  // applied; the failure is returned.
-  size_t limit = admitted.size();
-  Status failure = OkStatus();
-  for (size_t k = 0; k < admitted.size(); ++k) {
-    if (!decode_status[k].ok()) {
-      limit = k;
-      failure = decode_status[k];
-      break;
-    }
-  }
 
-  // Re-bucket by request id so join partners colocate. Work lists keep
-  // batch order within each shard — the per-shard event order is therefore
-  // identical to the one-batch-at-a-time path. Columnar batches re-bucket
-  // by slicing selection vectors (order-preserving row-index lists into the
-  // shared batch); the events never leave their columns.
+  // Re-bucket by request id so join partners colocate, position by position
+  // through the arrival interleave: each shard's sub-slice keeps the arrival
+  // order of the requests it owns, so the per-shard event order is identical
+  // to the one-batch-at-a-time path. A failing batch is skipped alone — its
+  // seq is admitted and its counters absorbed, exactly what IngestBatch
+  // leaves behind — and the first failure is returned.
   struct ShardWork {
     QueryId query_id;
     HostId host;
-    std::vector<Event> events;                   // row format
-    std::shared_ptr<const ColumnBatch> columns;  // columnar format
-    std::vector<uint32_t> selection;             // rows of `columns`
-    ColumnJoinSlice join;  // columnar join format (non-empty order)
+    ColumnSlice slice;
   };
   std::vector<std::vector<ShardWork>> work(shards_.size());
-  for (size_t k = 0; k < limit; ++k) {
-    if (!decoded[k].join_order.empty()) {
-      // Join slices re-bucket position by position through the staging
-      // interleave — the same per-event request-id routing the row path
-      // applies — so each shard's (order, rows) sub-slice preserves the
-      // arrival interleave of the requests it owns.
-      std::vector<ColumnJoinSlice> buckets(shards_.size());
-      std::vector<uint32_t> cursor(decoded[k].join_sections.size(), 0);
-      for (const uint8_t s : decoded[k].join_order) {
-        const uint32_t row = cursor[s]++;
-        const size_t shard = static_cast<size_t>(
-            HashMix64(decoded[k].join_sections[s]->request_id(row)) %
-            shards_.size());
-        buckets[shard].order.push_back(s);
-        buckets[shard].rows.push_back(row);
-      }
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if (buckets[s].order.empty()) {
-          continue;
-        }
-        ShardWork sw;
-        sw.query_id = admitted[k].batch->query_id;
-        sw.host = admitted[k].batch->host;
-        sw.join = std::move(buckets[s]);
-        sw.join.sections = decoded[k].join_sections;  // shared, read-only
-        work[s].push_back(std::move(sw));
+  Status failure = OkStatus();
+  for (size_t k = 0; k < admitted.size(); ++k) {
+    if (!decode_status[k].ok()) {
+      if (failure.ok()) {
+        failure = decode_status[k];
       }
       continue;
     }
-    if (decoded[k].columns != nullptr) {
-      const ColumnBatch& cols = *decoded[k].columns;
-      std::vector<std::vector<uint32_t>> buckets(shards_.size());
-      for (size_t r = 0; r < cols.rows(); ++r) {
-        const size_t shard = static_cast<size_t>(
-            HashMix64(cols.request_id(r)) % shards_.size());
-        buckets[shard].push_back(static_cast<uint32_t>(r));
+    const ColumnSlice& slice = decoded[k];
+    std::vector<ColumnSlice> buckets(shards_.size());
+    for (size_t i = 0; i < slice.size(); ++i) {
+      const uint8_t section = slice.section(i);
+      const uint32_t row = slice.row(i);
+      ColumnSlice& bucket = buckets[static_cast<size_t>(
+          HashMix64(slice.sections[section]->request_id(row)) %
+          shards_.size())];
+      if (!slice.order.empty()) {
+        bucket.order.push_back(section);
       }
-      for (size_t s = 0; s < shards_.size(); ++s) {
-        if (buckets[s].empty()) {
-          continue;
-        }
-        ShardWork sw;
-        sw.query_id = admitted[k].batch->query_id;
-        sw.host = admitted[k].batch->host;
-        sw.columns = decoded[k].columns;
-        sw.selection = std::move(buckets[s]);
-        work[s].push_back(std::move(sw));
-      }
-      continue;
-    }
-    std::vector<std::vector<Event>> buckets(shards_.size());
-    for (Event& event : decoded[k].events) {
-      const size_t shard = static_cast<size_t>(
-          HashMix64(event.request_id()) % shards_.size());
-      buckets[shard].push_back(std::move(event));
+      bucket.rows.push_back(row);
     }
     for (size_t s = 0; s < shards_.size(); ++s) {
-      if (buckets[s].empty()) {
+      if (buckets[s].rows.empty()) {
         continue;
       }
-      ShardWork sw;
-      sw.query_id = admitted[k].batch->query_id;
-      sw.host = admitted[k].batch->host;
-      sw.events = std::move(buckets[s]);
-      work[s].push_back(std::move(sw));
+      buckets[s].sections = slice.sections;  // shared, read-only
+      work[s].push_back(ShardWork{admitted[k]->query_id, admitted[k]->host,
+                                  std::move(buckets[s])});
     }
   }
 
   // Parallel fold: shard s's task touches only shard s (plus its own
-  // pending_rows_ slot for raw-mode queries). Columnar work reads the
-  // shared decoded batch through its selection — read-only, so shards can
-  // share it without locks.
+  // pending_rows_ slot for raw-mode queries), reading the shared sections
+  // through its own row lists — read-only, so no locks.
   std::vector<Status> shard_status(shards_.size());
   pool_.ParallelFor(shards_.size(), [&](size_t s) {
     for (const ShardWork& sw : work[s]) {
-      Status st;
-      if (!sw.join.order.empty()) {
-        st = shards_[s]->IngestJoinColumns(sw.query_id, sw.host, sw.join);
-      } else if (sw.columns != nullptr) {
-        st = shards_[s]->IngestColumns(sw.query_id, sw.host, sw.columns,
-                                       sw.selection.data(),
-                                       sw.selection.size());
-      } else {
-        st = shards_[s]->IngestEvents(sw.query_id, sw.host, sw.events);
-      }
+      const Status st = shards_[s]->IngestSlice(sw.query_id, sw.host, sw.slice);
       if (!st.ok() && shard_status[s].ok()) {
         shard_status[s] = st;
       }
     }
   });
   DrainShardRows();  // raw-mode rows are emitted eagerly during the fold
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (!shard_status[s].ok()) {
-      return shard_status[s];
-    }
+  for (size_t s = 0; s < shards_.size() && failure.ok(); ++s) {
+    failure = shard_status[s];
   }
   return failure;
 }

@@ -84,9 +84,10 @@ class ShardedCentral {
   // Batched ingestion: decodes the batches on the pool, re-buckets, then
   // applies each shard's share concurrently. Per-shard event order is the
   // batch order, so results are bit-identical to feeding the batches
-  // through IngestBatch one at a time. On a decode failure, batches before
-  // the failing one are fully applied and its status is returned (the
-  // sequential contract).
+  // through IngestBatch one at a time. A batch that fails to decode (or
+  // carries a type that is not one of its query's sources) is skipped
+  // alone: every other batch is applied, and the first failure's status is
+  // returned — the same state and status one-at-a-time ingestion leaves.
   Status IngestBatches(const std::vector<EventBatch>& batches,
                        TimeMicros now);
 

@@ -793,4 +793,78 @@ Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
   return out;
 }
 
+Result<ColumnSlice> DecodeColumnSlice(const SchemaRegistry& registry,
+                                      BatchFormat format,
+                                      const std::string& payload) {
+  ColumnSlice slice;
+  if (format == BatchFormat::kColumnar) {
+    Result<ColumnBatch> cols = DecodeColumnBatch(registry, payload);
+    if (!cols.ok()) {
+      return cols.status();
+    }
+    slice.sections.push_back(
+        std::make_shared<const ColumnBatch>(std::move(cols).value()));
+    return slice;
+  }
+  if (format == BatchFormat::kColumnarJoin) {
+    Result<ColumnJoinBatch> join = DecodeColumnJoinBatch(registry, payload);
+    if (!join.ok()) {
+      return join.status();
+    }
+    slice.sections.reserve(join->sections.size());
+    for (ColumnBatch& section : join->sections) {
+      slice.sections.push_back(
+          std::make_shared<const ColumnBatch>(std::move(section)));
+    }
+    if (slice.sections.size() > 1) {
+      // The interleave consumes each section's rows in order, so position
+      // i's row is its section's running count.
+      slice.order = std::move(join->order);
+      slice.rows.resize(slice.order.size());
+      std::vector<uint32_t> cursor(slice.sections.size(), 0);
+      for (size_t i = 0; i < slice.order.size(); ++i) {
+        slice.rows[i] = cursor[slice.order[i]]++;
+      }
+    }
+    return slice;
+  }
+  Result<std::vector<Event>> events = DecodeBatch(registry, payload);
+  if (!events.ok()) {
+    return events.status();
+  }
+  // One section per distinct type, in first-appearance order. The registry
+  // hands out one schema per type, so the pointer identifies the section.
+  std::vector<ColumnBatch> sections;
+  std::vector<uint8_t> order;
+  std::vector<uint32_t> rows;
+  order.reserve(events->size());
+  rows.reserve(events->size());
+  for (const Event& event : *events) {
+    size_t s = 0;
+    while (s < sections.size() &&
+           sections[s].schema().get() != event.schema().get()) {
+      ++s;
+    }
+    if (s == sections.size()) {
+      if (sections.size() == 255) {
+        return InvalidArgument("row batch carries more than 255 event types");
+      }
+      sections.emplace_back(event.schema());
+    }
+    order.push_back(static_cast<uint8_t>(s));
+    rows.push_back(static_cast<uint32_t>(sections[s].rows()));
+    sections[s].AppendEvent(event);
+  }
+  slice.sections.reserve(sections.size());
+  for (ColumnBatch& section : sections) {
+    slice.sections.push_back(
+        std::make_shared<const ColumnBatch>(std::move(section)));
+  }
+  if (slice.sections.size() > 1) {
+    slice.order = std::move(order);
+    slice.rows = std::move(rows);
+  }
+  return slice;
+}
+
 }  // namespace scrub

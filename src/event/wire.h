@@ -11,6 +11,7 @@
 #define SRC_EVENT_WIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -143,6 +144,46 @@ struct ColumnJoinBatch {
 
 Result<ColumnJoinBatch> DecodeColumnJoinBatch(const SchemaRegistry& registry,
                                               const std::string& buffer);
+
+// ---- Central's one decoded form --------------------------------------------
+//
+// Every batch format decodes to per-type columnar sections plus their arrival
+// interleave: event i is row rows[i] of section order[i]. A slice with an
+// empty `order` has one section and `rows` lists its rows in arrival order
+// (empty `rows` = every row, the kColumnar case, which builds no per-row
+// vectors). Sections are shared and immutable so join entries can reference
+// rows past the fold, and re-bucketed sub-slices can share one decode.
+struct ColumnSlice {
+  std::vector<std::shared_ptr<const ColumnBatch>> sections;
+  std::vector<uint8_t> order;
+  std::vector<uint32_t> rows;
+
+  size_t size() const {
+    if (!order.empty()) {
+      return order.size();
+    }
+    if (!rows.empty() || sections.empty()) {
+      return rows.size();
+    }
+    return sections[0]->rows();
+  }
+  uint8_t section(size_t i) const { return order.empty() ? 0 : order[i]; }
+  uint32_t row(size_t i) const {
+    return rows.empty() ? static_cast<uint32_t>(i) : rows[i];
+  }
+};
+
+// Decodes a payload of any format into one ColumnSlice:
+//  * kColumnar — one section, no per-row vectors;
+//  * kColumnarJoin — its sections and interleave (a one-section batch
+//    collapses to the kColumnar shape);
+//  * kRow — DecodeBatch, then each event appended to its type's section in
+//    first-appearance order. More than 255 distinct types is an error (the
+//    interleave index is a u8).
+// Every format's hostile-input discipline applies unchanged.
+Result<ColumnSlice> DecodeColumnSlice(const SchemaRegistry& registry,
+                                      BatchFormat format,
+                                      const std::string& payload);
 
 }  // namespace scrub
 

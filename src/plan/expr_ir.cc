@@ -496,55 +496,30 @@ struct ColumnLoader {
   }
 };
 
-// Mixed join tuple: each slot delegates to the loader matching its
-// representation, so a columnar slot reads exactly what ColumnLoader would
-// and a row slot exactly what TupleLoader would — the mixed path cannot
-// drift from either.
+// Join tuple: each present slot reads exactly what ColumnLoader would, so
+// the join path cannot drift from the single-source columnar path.
 struct MixedLoader {
   const TupleSlot* slots;
 
   Value LoadField(uint16_t source, uint16_t field,
                   const std::vector<std::string>* path) const {
     const TupleSlot& slot = slots[source];
-    if (slot.batch != nullptr) {
-      return ColumnLoader{slot.batch, slot.row}.LoadField(source, field,
-                                                          path);
-    }
-    if (slot.event == nullptr) {
+    if (slot.batch == nullptr) {
       return Value::Null();
     }
-    const Value* v = &slot.event->field(field);
-    if (path != nullptr) {
-      for (const std::string& step : *path) {
-        if (!v->is_object()) {
-          return Value::Null();
-        }
-        const Value* next = v->AsObject().Find(step);
-        if (next == nullptr) {
-          return Value::Null();
-        }
-        v = next;
-      }
-    }
-    return *v;
+    return ColumnLoader{slot.batch, slot.row}.LoadField(source, field, path);
   }
   Value LoadRequestId(uint16_t source) const {
     const TupleSlot& slot = slots[source];
-    if (slot.batch != nullptr) {
-      return Value(static_cast<int64_t>(slot.batch->request_id(slot.row)));
-    }
-    return slot.event == nullptr
+    return slot.batch == nullptr
                ? Value::Null()
-               : Value(static_cast<int64_t>(slot.event->request_id()));
+               : Value(static_cast<int64_t>(slot.batch->request_id(slot.row)));
   }
   Value LoadTimestamp(uint16_t source) const {
     const TupleSlot& slot = slots[source];
-    if (slot.batch != nullptr) {
-      return Value(static_cast<int64_t>(slot.batch->timestamp(slot.row)));
-    }
-    return slot.event == nullptr
+    return slot.batch == nullptr
                ? Value::Null()
-               : Value(static_cast<int64_t>(slot.event->timestamp()));
+               : Value(static_cast<int64_t>(slot.batch->timestamp(slot.row)));
   }
 };
 

@@ -688,5 +688,353 @@ TEST_F(ShardedSampledDifferentialTest, HostSampledUngroupedCountSum) {
   EXPECT_LE(misses, 1u);
 }
 
+// ---------------------------------------------------------------------------
+// Format matrix. Central decodes every batch format to one columnar form
+// (DecodeColumnSlice), so one event stream shipped as kRow (single- and
+// mixed-type batches), kColumnar or kColumnarJoin must fold to byte-identical
+// transcripts and CentralQueryStats counters — in ScrubCentral and in
+// ShardedCentral at every shard and worker count. Operator metrics are
+// compared on rows and batches (their CPU readings are wall-clock noise).
+// ---------------------------------------------------------------------------
+
+class FormatMatrixTest : public ::testing::Test {
+ protected:
+  // How one run ships its batches.
+  enum class Arm {
+    kRow,           // every batch kRow (one or several types)
+    kColumnar,      // kColumnar for one type, kColumnarJoin for several
+    kColumnarJoin,  // every batch kColumnarJoin (one-section ones too)
+    kAlternating,   // even batches as kRow, odd ones as kColumnar
+  };
+
+  struct HostBatch {
+    HostId host = 0;
+    std::vector<Event> events;  // arrival order; may mix types
+  };
+
+  struct Outcome {
+    std::vector<std::string> transcript;
+    std::vector<std::string> stats;  // one line per instance
+  };
+
+  FormatMatrixTest() {
+    bid_ = *EventSchema::Builder("bid")
+                .AddField("user_id", FieldType::kLong)
+                .AddField("price", FieldType::kDouble)
+                .AddField("exchange", FieldType::kString)
+                .Build();
+    imp_ = *EventSchema::Builder("impression")
+                .AddField("line_item_id", FieldType::kLong)
+                .AddField("cost", FieldType::kDouble)
+                .Build();
+    EXPECT_TRUE(registry_.Register(bid_).ok());
+    EXPECT_TRUE(registry_.Register(imp_).ok());
+  }
+
+  Event Bid(Rng& rng, RequestId rid, TimeMicros ts) const {
+    Event e(bid_, rid, ts);
+    e.SetField(0, Value(static_cast<int64_t>(rng.NextBelow(6))));
+    if (!rng.NextBool(0.1)) {  // a few null prices: aggregates skip them
+      e.SetField(1, Value(rng.NextDouble() * 5));
+    }
+    e.SetField(2, Value(rng.NextBool(0.5) ? "adx" : "openx"));
+    return e;
+  }
+
+  // 3 hosts x 8 rounds of bids, round r stamped in [r/2 s, (r+1)/2 s).
+  std::vector<HostBatch> BidStream() const {
+    Rng rng(17);
+    std::vector<HostBatch> stream;
+    for (int round = 0; round < 8; ++round) {
+      for (HostId host = 0; host < 3; ++host) {
+        HostBatch hb{host, {}};
+        for (int i = 0; i < 40; ++i) {
+          hb.events.push_back(Bid(rng, rng.NextUint64(), Stamp(rng, round)));
+        }
+        stream.push_back(std::move(hb));
+      }
+    }
+    return stream;
+  }
+
+  // Host 0 ships bids, host 1 their impressions, host 2 both interleaved in
+  // one batch. Two of three requests get an impression; the rest are join
+  // orphans.
+  std::vector<HostBatch> JoinStream() const {
+    Rng rng(31);
+    std::vector<HostBatch> stream;
+    for (int round = 0; round < 8; ++round) {
+      std::vector<HostBatch> hosts = {{0, {}}, {1, {}}, {2, {}}};
+      for (int i = 0; i < 60; ++i) {
+        const RequestId rid = rng.NextUint64();
+        const TimeMicros ts = Stamp(rng, round);
+        HostBatch& bids = hosts[i % 2 == 0 ? 0 : 2];
+        HostBatch& imps = hosts[i % 2 == 0 ? 1 : 2];
+        bids.events.push_back(Bid(rng, rid, ts));
+        if (i % 3 != 0) {
+          Event imp(imp_, rid, ts);
+          imp.SetField(0, Value(static_cast<int64_t>(rng.NextBelow(4))));
+          imp.SetField(1, Value(rng.NextDouble()));
+          imps.events.push_back(std::move(imp));
+        }
+      }
+      for (HostBatch& hb : hosts) {
+        stream.push_back(std::move(hb));
+      }
+    }
+    return stream;
+  }
+
+  static TimeMicros Stamp(Rng& rng, int round) {
+    return round * 500 * kMicrosPerMilli +
+           static_cast<TimeMicros>(rng.NextBelow(500'000));
+  }
+
+  static BatchFormat FormatFor(Arm arm, const HostBatch& hb, size_t k) {
+    bool one_type = true;
+    for (const Event& e : hb.events) {
+      one_type = one_type && e.schema() == hb.events.front().schema();
+    }
+    switch (arm) {
+      case Arm::kRow:
+        return BatchFormat::kRow;
+      case Arm::kColumnarJoin:
+        return BatchFormat::kColumnarJoin;
+      case Arm::kAlternating:
+        if (k % 2 == 0) {
+          return BatchFormat::kRow;
+        }
+        break;
+      case Arm::kColumnar:
+        break;
+    }
+    return one_type ? BatchFormat::kColumnar : BatchFormat::kColumnarJoin;
+  }
+
+  static EventBatch Encode(const HostBatch& hb, BatchFormat format,
+                           QueryId qid, uint64_t seq) {
+    EventBatch batch;
+    batch.query_id = qid;
+    batch.host = hb.host;
+    batch.seq = seq;
+    batch.format = format;
+    batch.event_count = hb.events.size();
+    if (format == BatchFormat::kRow) {
+      batch.payload = EncodeBatch(hb.events);
+      return batch;
+    }
+    // One section per type in first-appearance order, like agent staging.
+    std::vector<ColumnBatch> sections;
+    std::vector<uint8_t> order;
+    for (const Event& e : hb.events) {
+      size_t s = 0;
+      while (s < sections.size() && sections[s].schema() != e.schema()) {
+        ++s;
+      }
+      if (s == sections.size()) {
+        sections.emplace_back(e.schema());
+      }
+      sections[s].AppendEvent(e);
+      order.push_back(static_cast<uint8_t>(s));
+    }
+    if (format == BatchFormat::kColumnar) {
+      EXPECT_EQ(sections.size(), 1u);
+      EncodeColumnBatch(sections[0], nullptr, sections[0].rows(), nullptr,
+                        &batch.payload);
+      return batch;
+    }
+    std::vector<ColumnJoinSection> join;
+    for (const ColumnBatch& section : sections) {
+      join.push_back({&section, nullptr, section.rows(), nullptr});
+    }
+    EncodeColumnJoinBatch(join, order, &batch.payload);
+    return batch;
+  }
+
+  CentralPlan PlanFor(std::string_view text) {
+    Result<AnalyzedQuery> aq =
+        ParseAndAnalyze(text, registry_, AnalyzerOptions{});
+    EXPECT_TRUE(aq.ok()) << aq.status().ToString();
+    Result<QueryPlan> plan = PlanQuery(*aq, /*query_id=*/1, 0);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    CentralPlan central = plan->central;
+    central.hosts_targeted = 3;
+    central.hosts_sampled = 3;
+    return central;
+  }
+
+  static std::string RenderMetrics(const std::vector<OperatorMetrics>& ops) {
+    std::string out;
+    for (const OperatorMetrics& m : ops) {
+      out += StrFormat(" [%llu>%llu/%llu]",
+                       static_cast<unsigned long long>(m.rows_in),
+                       static_cast<unsigned long long>(m.rows_out),
+                       static_cast<unsigned long long>(m.batches));
+    }
+    return out;
+  }
+
+  // Every CentralQueryStats counter (doubles at full precision).
+  static std::string RenderStats(const CentralQueryStats* s) {
+    if (s == nullptr) {
+      return "none";
+    }
+    const auto u = [](uint64_t v) {
+      return static_cast<unsigned long long>(v);
+    };
+    return StrFormat(
+               "b=%llu dup=%llu in=%llu late=%llu joined=%llu orphans=%llu "
+               "jshed=%llu groups=%llu rows=%llu wc=%llu wi=%llu "
+               "cmin=%.17g csum=%.17g spilled=%llu runs=%llu sbytes=%llu "
+               "swf=%llu srf=%llu shed=%llu ashed=%llu wl=%llu fmin=%.17g "
+               "fsum=%.17g peak=%llu ops",
+               u(s->batches), u(s->batches_duplicate), u(s->events_ingested),
+               u(s->events_late), u(s->tuples_joined), u(s->join_orphans),
+               u(s->join_shed), u(s->groups_emitted), u(s->rows_emitted),
+               u(s->windows_closed), u(s->windows_incomplete),
+               s->completeness_min, s->completeness_sum, u(s->events_spilled),
+               u(s->spill_runs), u(s->spill_bytes), u(s->spill_write_failures),
+               u(s->spill_read_failures), u(s->events_shed),
+               u(s->agent_events_shed), u(s->windows_lossy), s->fidelity_min,
+               s->fidelity_sum, u(s->peak_state_bytes)) +
+           RenderMetrics(s->op_metrics) + " upstream" +
+           RenderMetrics(s->upstream_op_metrics);
+  }
+
+  Outcome RunFlat(const CentralPlan& plan, const std::vector<HostBatch>& stream,
+                  Arm arm) {
+    CentralConfig config;
+    config.track_state_bytes = true;
+    ScrubCentral central(&registry_, config);
+    Outcome out;
+    EXPECT_TRUE(central
+                    .InstallQuery(plan,
+                                  [&out](const ResultRow& row) {
+                                    out.transcript.push_back(RenderRow(row));
+                                  })
+                    .ok());
+    for (size_t k = 0; k < stream.size(); ++k) {
+      const EventBatch batch = Encode(stream[k], FormatFor(arm, stream[k], k),
+                                      plan.query_id, k + 1);
+      EXPECT_TRUE(central.IngestBatch(batch, 0).ok());
+      if (k % 3 == 2) {  // one round in: let windows close as it goes
+        central.OnTick(static_cast<TimeMicros>(k / 3 + 1) * 500 *
+                       kMicrosPerMilli);
+      }
+    }
+    central.OnTick(60 * kMicrosPerSecond);
+    out.stats.push_back(RenderStats(central.StatsFor(plan.query_id)));
+    return out;
+  }
+
+  Outcome RunSharded(const CentralPlan& plan,
+                     const std::vector<HostBatch>& stream, Arm arm,
+                     size_t shards, size_t workers) {
+    CentralConfig config;
+    config.track_state_bytes = true;
+    ShardedCentral central(&registry_, shards, config, workers);
+    Outcome out;
+    EXPECT_TRUE(central
+                    .InstallQuery(plan,
+                                  [&out](const ResultRow& row) {
+                                    out.transcript.push_back(RenderRow(row));
+                                  })
+                    .ok());
+    std::vector<EventBatch> round;
+    for (size_t k = 0; k < stream.size(); ++k) {
+      round.push_back(Encode(stream[k], FormatFor(arm, stream[k], k),
+                             plan.query_id, k + 1));
+      if (k % 3 == 2) {  // one IngestBatches call per round
+        EXPECT_TRUE(central.IngestBatches(round, 0).ok());
+        round.clear();
+        central.OnTick(static_cast<TimeMicros>(k / 3 + 1) * 500 *
+                       kMicrosPerMilli);
+      }
+    }
+    central.OnTick(60 * kMicrosPerSecond);
+    for (size_t s = 0; s < central.shard_count(); ++s) {
+      out.stats.push_back(
+          RenderStats(central.shard(s).StatsFor(plan.query_id)));
+    }
+    out.stats.push_back(
+        RenderStats(central.coordinator().StatsFor(plan.query_id)));
+    return out;
+  }
+
+  // Every arm equals the kRow arm, per deployment.
+  void ExpectFormatNeutral(std::string_view query,
+                           const std::vector<HostBatch>& stream) {
+    const CentralPlan plan = PlanFor(query);
+    const Arm arms[] = {Arm::kColumnar, Arm::kColumnarJoin, Arm::kAlternating};
+    const Outcome flat = RunFlat(plan, stream, Arm::kRow);
+    ASSERT_FALSE(flat.transcript.empty());
+    for (const Arm arm : arms) {
+      const Outcome other = RunFlat(plan, stream, arm);
+      EXPECT_EQ(other.transcript, flat.transcript)
+          << "flat, arm " << static_cast<int>(arm);
+      EXPECT_EQ(other.stats, flat.stats)
+          << "flat, arm " << static_cast<int>(arm);
+    }
+    for (const size_t shards : {size_t{1}, size_t{4}}) {
+      for (const size_t workers : {size_t{0}, size_t{2}}) {
+        const Outcome row =
+            RunSharded(plan, stream, Arm::kRow, shards, workers);
+        ASSERT_FALSE(row.transcript.empty());
+        for (const Arm arm : arms) {
+          const Outcome other = RunSharded(plan, stream, arm, shards, workers);
+          EXPECT_EQ(other.transcript, row.transcript)
+              << shards << " shards, " << workers << " workers, arm "
+              << static_cast<int>(arm);
+          EXPECT_EQ(other.stats, row.stats)
+              << shards << " shards, " << workers << " workers, arm "
+              << static_cast<int>(arm);
+        }
+      }
+    }
+  }
+
+  SchemaRegistry registry_;
+  SchemaPtr bid_;
+  SchemaPtr imp_;
+};
+
+TEST_F(FormatMatrixTest, GroupedAggregatesAreFormatNeutral) {
+  ExpectFormatNeutral(
+      "SELECT bid.user_id, COUNT(*), SUM(bid.price), AVG(bid.price), "
+      "MIN(bid.price), MAX(bid.price), COUNT_DISTINCT(bid.exchange) "
+      "FROM bid GROUP BY bid.user_id WINDOW 1 s DURATION 4 s;",
+      BidStream());
+}
+
+TEST_F(FormatMatrixTest, JoinIsFormatNeutral) {
+  const std::vector<HostBatch> stream = JoinStream();
+  const char* query =
+      "SELECT impression.line_item_id, COUNT(*), SUM(bid.price) "
+      "FROM bid, impression GROUP BY impression.line_item_id "
+      "WINDOW 1 s DURATION 4 s;";
+  ExpectFormatNeutral(query, stream);
+  // The stream really joins across hosts and batches, and leaves orphans.
+  const CentralPlan plan = PlanFor(query);
+  ScrubCentral central(&registry_);
+  ASSERT_TRUE(central.InstallQuery(plan, [](const ResultRow&) {}).ok());
+  for (size_t k = 0; k < stream.size(); ++k) {
+    ASSERT_TRUE(central
+                    .IngestBatch(Encode(stream[k], BatchFormat::kRow,
+                                        plan.query_id, k + 1),
+                                 0)
+                    .ok());
+  }
+  central.OnTick(60 * kMicrosPerSecond);
+  EXPECT_GT(central.StatsFor(plan.query_id)->tuples_joined, 0u);
+  EXPECT_GT(central.StatsFor(plan.query_id)->join_orphans, 0u);
+}
+
+TEST_F(FormatMatrixTest, RawProjectionIsFormatNeutral) {
+  ExpectFormatNeutral(
+      "SELECT bid.user_id, bid.price, bid.exchange FROM bid "
+      "WINDOW 1 s DURATION 4 s;",
+      BidStream());
+}
+
 }  // namespace
 }  // namespace scrub

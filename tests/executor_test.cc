@@ -1,8 +1,7 @@
-// Unit tests for the physical-operator executor: one compiled pipeline
-// interpreted against both input representations. The defining property is
-// that a row span and a ColumnBatch selection carrying the same logical
-// events fold into byte-identical result rows — same values, same bounds,
-// same emission order — because every deployment shares this one engine.
+// Unit tests for the physical-operator executor: the compiled pipeline's
+// operators and its fold over ColumnBatch selections. That every wire format
+// of one event stream folds to byte-identical rows is the format-matrix
+// differential (differential_test.cc, FormatMatrixTest).
 
 #include <map>
 #include <memory>
@@ -97,7 +96,7 @@ class ExecutorTest : public ::testing::Test {
     QueryState q = StateFor(text, 1, &transcript);
     Executor executor(&registry_, &config_, &meter_);
     for (const auto& [host, chunk] : chunks) {
-      executor.Fold(q, host, chunk);
+      executor.Fold(q, host, chunk, /*source=*/0);
     }
     while (!q.windows.empty()) {
       auto it = q.windows.begin();
@@ -142,21 +141,6 @@ TEST_F(ExecutorTest, CompiledPipelineNamesItsOperators) {
   EXPECT_EQ(raw.pipeline.ToString().find("GroupFold("), std::string::npos);
 }
 
-TEST_F(ExecutorTest, RowAndColumnarChunksFoldByteIdentically) {
-  const char* query =
-      "SELECT bid.user_id, COUNT(*), SUM(bid.price), AVG(bid.price), "
-      "MIN(bid.price), MAX(bid.price) FROM bid GROUP BY bid.user_id "
-      "WINDOW 1 s DURATION 4 s;";
-  const std::vector<Event> events = RandomBids(500, 17);
-
-  const std::vector<std::string> row_transcript =
-      Run(query, {{HostId{0}, InputChunk::Rows(events)}});
-  const auto batch = ToColumns(bid_schema_, events);
-  const std::vector<std::string> col_transcript =
-      Run(query, {{HostId{0}, InputChunk::Columns(batch, nullptr, 0)}});
-  EXPECT_EQ(col_transcript, row_transcript);
-}
-
 TEST_F(ExecutorTest, ColumnarSelectionFoldsOnlySelectedRows) {
   const char* query =
       "SELECT COUNT(*), SUM(bid.price) FROM bid WINDOW 1 s DURATION 4 s;";
@@ -168,57 +152,16 @@ TEST_F(ExecutorTest, ColumnarSelectionFoldsOnlySelectedRows) {
     selection.push_back(static_cast<uint32_t>(i));
   }
 
-  const std::vector<std::string> row_transcript =
-      Run(query, {{HostId{0}, InputChunk::Rows(evens)}});
+  const std::vector<std::string> dense_transcript = Run(
+      query, {{HostId{0},
+               InputChunk::Columns(ToColumns(bid_schema_, evens), nullptr,
+                                   0)}});
   const auto batch = ToColumns(bid_schema_, all);
-  const std::vector<std::string> col_transcript = Run(
+  const std::vector<std::string> selected_transcript = Run(
       query,
       {{HostId{0},
         InputChunk::Columns(batch, selection.data(), selection.size())}});
-  EXPECT_EQ(col_transcript, row_transcript);
-}
-
-TEST_F(ExecutorTest, JoinFoldsBothRepresentationsIdentically) {
-  const char* query =
-      "SELECT impression.line_item_id, COUNT(*), SUM(bid.price) "
-      "FROM bid, impression GROUP BY impression.line_item_id "
-      "WINDOW 1 s DURATION 4 s;";
-  Rng rng(31);
-  std::vector<Event> bids;
-  std::vector<Event> imps;
-  for (int i = 0; i < 200; ++i) {
-    const RequestId rid = rng.NextUint64();
-    const TimeMicros ts =
-        100 + static_cast<TimeMicros>(rng.NextBelow(3'000'000));
-    Event bid(bid_schema_, rid, ts);
-    bid.SetField(0, Value(static_cast<int64_t>(rng.NextBelow(6))));
-    bid.SetField(1, Value(rng.NextDouble() * 5));
-    bids.push_back(std::move(bid));
-    // Two of three requests get a matching impression; the rest stay join
-    // orphans that a columnar fold must never materialize into Events.
-    if (i % 3 != 0) {
-      Event imp(imp_schema_, rid, ts);
-      imp.SetField(0, Value(static_cast<int64_t>(rng.NextBelow(4))));
-      imp.SetField(1, Value(rng.NextDouble()));
-      imps.push_back(std::move(imp));
-    }
-  }
-
-  const std::vector<std::string> row_transcript =
-      Run(query, {{HostId{0}, InputChunk::Rows(bids)},
-                  {HostId{1}, InputChunk::Rows(imps)}});
-  const auto bid_batch = ToColumns(bid_schema_, bids);
-  const auto imp_batch = ToColumns(imp_schema_, imps);
-  const std::vector<std::string> col_transcript =
-      Run(query, {{HostId{0}, InputChunk::Columns(bid_batch, nullptr, 0)},
-                  {HostId{1}, InputChunk::Columns(imp_batch, nullptr, 0)}});
-  EXPECT_EQ(col_transcript, row_transcript);
-
-  // Mixed representations join too: columnar bids against row impressions.
-  const std::vector<std::string> mixed_transcript =
-      Run(query, {{HostId{0}, InputChunk::Columns(bid_batch, nullptr, 0)},
-                  {HostId{1}, InputChunk::Rows(imps)}});
-  EXPECT_EQ(mixed_transcript, row_transcript);
+  EXPECT_EQ(selected_transcript, dense_transcript);
 }
 
 }  // namespace

@@ -383,5 +383,152 @@ TEST_F(ShardedCentralTest, RemoveQueryFlushesPendingWindows) {
   EXPECT_FALSE(sharded.HasQuery(plan.query_id));
 }
 
+// A batch whose type is not one of the query's sources must fail whole —
+// nothing folded — in either format and either deployment. (Folding it read
+// the foreign columns under the source schema's field indexes: out of
+// bounds when the foreign type has fewer fields.)
+TEST(ForeignSourceTest, BatchOfAnotherTypeFailsWholeAndFoldsNothing) {
+  SchemaRegistry registry;
+  const SchemaPtr bid = *EventSchema::Builder("bid")
+                             .AddField("exchange", FieldType::kString)
+                             .AddField("user_id", FieldType::kLong)
+                             .AddField("price", FieldType::kDouble)
+                             .Build();
+  const SchemaPtr imp = *EventSchema::Builder("impression")
+                             .AddField("cost", FieldType::kDouble)
+                             .Build();
+  ASSERT_TRUE(registry.Register(bid).ok());
+  ASSERT_TRUE(registry.Register(imp).ok());
+  Result<AnalyzedQuery> aq = ParseAndAnalyze(
+      "SELECT bid.exchange, COUNT(*) FROM bid GROUP BY bid.exchange "
+      "WINDOW 1 s DURATION 4 s;",
+      registry, AnalyzerOptions{});
+  ASSERT_TRUE(aq.ok()) << aq.status().ToString();
+  Result<QueryPlan> plan = PlanQuery(*aq, 1, 0);
+  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+
+  std::vector<Event> imps;
+  std::vector<Event> bids;
+  ColumnBatch imp_columns(imp);
+  ColumnBatch bid_columns(bid);
+  for (int i = 0; i < 4; ++i) {
+    Event e(imp, static_cast<RequestId>(i + 1), 100 + i);
+    e.SetField(0, Value(0.5));
+    imp_columns.AppendEvent(e);
+    imps.push_back(std::move(e));
+    Event b(bid, static_cast<RequestId>(i + 1), 100 + i);
+    b.SetField(0, Value("adx"));
+    b.SetField(1, Value(int64_t{i}));
+    b.SetField(2, Value(1.0));
+    bid_columns.AppendEvent(b);
+    bids.push_back(std::move(b));
+  }
+  const auto batch_of = [](BatchFormat format, const ColumnBatch& columns,
+                           const std::vector<Event>& events, uint64_t seq) {
+    EventBatch batch;
+    batch.query_id = 1;
+    batch.host = 0;
+    batch.seq = seq;
+    batch.format = format;
+    batch.event_count = events.size();
+    if (format == BatchFormat::kRow) {
+      batch.payload = EncodeBatch(events);
+    } else {
+      EncodeColumnBatch(columns, nullptr, columns.rows(), nullptr,
+                        &batch.payload);
+    }
+    return batch;
+  };
+
+  for (const BatchFormat format : {BatchFormat::kRow, BatchFormat::kColumnar}) {
+    SCOPED_TRACE(static_cast<int>(format));
+    const EventBatch foreign = batch_of(format, imp_columns, imps, 1);
+    const EventBatch valid = batch_of(format, bid_columns, bids, 2);
+
+    ScrubCentral flat(&registry);
+    std::vector<std::string> flat_rows;
+    ASSERT_TRUE(flat.InstallQuery(plan->central, [&](const ResultRow& row) {
+                      flat_rows.push_back(row.ToString());
+                    }).ok());
+    const Status flat_status = flat.IngestBatch(foreign, 0);
+    EXPECT_FALSE(flat_status.ok());
+    EXPECT_NE(flat_status.ToString().find("impression"), std::string::npos)
+        << flat_status.ToString();
+    EXPECT_EQ(flat.StatsFor(1)->events_ingested, 0u);
+    ASSERT_TRUE(flat.IngestBatch(valid, 0).ok());
+    flat.OnTick(60 * kMicrosPerSecond);
+    ASSERT_EQ(flat_rows.size(), 1u);
+    EXPECT_NE(flat_rows[0].find("adx\" | 4"), std::string::npos)
+        << flat_rows[0];
+
+    for (const size_t workers : {size_t{0}, size_t{2}}) {
+      ShardedCentral sharded(&registry, 2, CentralConfig{}, workers);
+      std::vector<std::string> sharded_rows;
+      ASSERT_TRUE(sharded
+                      .InstallQuery(plan->central,
+                                    [&](const ResultRow& row) {
+                                      sharded_rows.push_back(row.ToString());
+                                    })
+                      .ok());
+      EXPECT_FALSE(sharded.IngestBatches({foreign, valid}, 0).ok());
+      uint64_t ingested = 0;
+      for (size_t shard = 0; shard < sharded.shard_count(); ++shard) {
+        ingested += sharded.shard(shard).StatsFor(1)->events_ingested;
+      }
+      EXPECT_EQ(ingested, bids.size());  // the valid batch only
+      sharded.OnTick(60 * kMicrosPerSecond);
+      EXPECT_EQ(sharded_rows, flat_rows) << "workers " << workers;
+    }
+  }
+}
+
+// A corrupt batch inside one IngestBatches call costs exactly that batch:
+// the batches after it were already admitted (seq) and absorbed (counters),
+// so dropping them too would lose their events for good — a retransmit is a
+// duplicate by then. The result must match one-at-a-time ingestion.
+TEST_F(ShardedCentralTest, CorruptBatchSkipsOnlyItself) {
+  const CentralPlan plan =
+      PlanFor("SELECT COUNT(*) FROM bid WINDOW 10 s DURATION 10 s;", 1);
+  std::vector<EventBatch> batches;
+  for (HostId host = 0; host < 3; ++host) {
+    EventBatch batch = Pack(plan.query_id, RandomBids(5, 100 + host, 4));
+    batch.host = host;
+    batch.seq = 1;
+    if (host == 1) {
+      batch.payload[batch.payload.size() / 2] ^= 0x5a;
+      batch.payload.resize(batch.payload.size() - 3);
+    }
+    batches.push_back(std::move(batch));
+  }
+
+  const auto run = [&](bool batched, size_t workers) {
+    ShardedCentral sharded(&registry_, 2, CentralConfig{}, workers);
+    std::vector<ResultRow> rows;
+    EXPECT_TRUE(sharded
+                    .InstallQuery(plan,
+                                  [&](const ResultRow& row) {
+                                    rows.push_back(row);
+                                  })
+                    .ok());
+    if (batched) {
+      EXPECT_FALSE(sharded.IngestBatches(batches, 0).ok());
+    } else {
+      for (size_t k = 0; k < batches.size(); ++k) {
+        EXPECT_EQ(sharded.IngestBatch(batches[k], 0).ok(), k != 1);
+      }
+    }
+    // Host 2's retransmit is a duplicate either way: its first copy counts.
+    EXPECT_TRUE(sharded.IngestBatch(batches[2], 0).ok());
+    EXPECT_EQ(sharded.DuplicateBatches(plan.query_id), 1u);
+    sharded.OnTick(60 * kMicrosPerSecond);
+    EXPECT_EQ(rows.size(), 1u);
+    return rows.empty() ? Value() : rows[0].values[0];
+  };
+  for (const size_t workers : {size_t{0}, size_t{2}}) {
+    EXPECT_EQ(run(/*batched=*/false, workers), Value(int64_t{10}));
+    EXPECT_EQ(run(/*batched=*/true, workers), Value(int64_t{10}));
+  }
+}
+
 }  // namespace
 }  // namespace scrub

@@ -219,6 +219,34 @@ TEST_F(SpillCentralTest, SpillIsByteIdenticalAtHalfAndEighthBudget) {
   }
 }
 
+// The join query's batches are mixed-type kRow payloads, decoded to
+// per-type columnar sections; its spill records are EncodeEvent rows
+// replayed through one-row columnar chunks. Budgeting at the JOIN's own
+// working set (the grouped query's is larger, so the test above may not
+// push the join at all) must still reproduce the unbudgeted transcript.
+TEST_F(SpillCentralTest, RowFedJoinSpillIsByteIdenticalAtHalfAndEighthBudget) {
+  const RunOutcome unbounded = Run(CentralConfig{});
+  ASSERT_GT(unbounded.join_peak, 0u);
+  for (const size_t divisor : {size_t{2}, size_t{8}}) {
+    CentralConfig config;
+    config.query_state_budget_bytes = unbounded.join_peak / divisor;
+    config.spill_dir = SpillDir(StrFormat("join_identity_%zu", divisor));
+    config.spill_instance = StrFormat("central_j%zu", divisor);
+    const RunOutcome budgeted = Run(config);
+    EXPECT_EQ(budgeted.transcript, unbounded.transcript)
+        << "budget = 1/" << divisor << " of the join's working set";
+    EXPECT_GT(budgeted.join_stats.events_spilled, 0u)
+        << "budget = 1/" << divisor;
+    EXPECT_EQ(budgeted.join_stats.events_shed, 0u);
+    EXPECT_EQ(budgeted.join_stats.tuples_joined,
+              unbounded.join_stats.tuples_joined);
+    EXPECT_EQ(budgeted.join_stats.join_orphans,
+              unbounded.join_stats.join_orphans);
+    EXPECT_EQ(budgeted.spill.records_written,
+              budgeted.spill.records_replayed);
+  }
+}
+
 TEST_F(SpillCentralTest, NoSpillDirectoryDegradesToCountedShed) {
   const RunOutcome unbounded = Run(CentralConfig{});
   CentralConfig config;

@@ -782,5 +782,276 @@ TEST_F(ColumnWireFuzzTest, RowAndColumnarCodecsAgreeOnRandomSchemas) {
   }
 }
 
+// ---- Central's one decoded form (DecodeColumnSlice) ------------------------
+// Every batch format reaches central through DecodeColumnSlice, so it
+// inherits each format's hostile-bytes contract and must add no hole of its
+// own: the row path regroups a mixed-type payload into per-type sections and
+// must neither crash nor lose or reorder an event doing it.
+
+class SliceWireFuzzTest : public ::testing::Test {
+ protected:
+  SliceWireFuzzTest() {
+    rpc_ = *EventSchema::Builder("rpc")
+                .AddField("op", FieldType::kString)
+                .AddField("lat", FieldType::kLong)
+                .AddField("ok", FieldType::kBool)
+                .Build();
+    db_ = *EventSchema::Builder("db")
+              .AddField("table", FieldType::kString)
+              .AddField("rows", FieldType::kDouble)
+              .Build();
+    EXPECT_TRUE(registry_.Register(rpc_).ok());
+    EXPECT_TRUE(registry_.Register(db_).ok());
+  }
+
+  Event Rpc(uint64_t rid) const {
+    Event e(rpc_, rid, 10 + static_cast<TimeMicros>(rid));
+    e.SetField(0, Value(rid % 2 == 0 ? "get" : "put"));
+    e.SetField(1, Value(static_cast<int64_t>(rid * 7)));
+    e.SetField(2, Value(rid % 3 != 0));
+    return e;
+  }
+  Event Db(uint64_t rid) const {
+    Event e(db_, rid, 20 + static_cast<TimeMicros>(rid));
+    e.SetField(0, Value("users"));
+    e.SetField(1, Value(static_cast<double>(rid) / 4));
+    return e;
+  }
+
+  // The same five events (rpc db rpc db rpc) in every format that can carry
+  // them: a mixed-type row payload and a two-section join payload; plus a
+  // single-type row payload and its columnar twin.
+  std::string MixedRow() const {
+    return EncodeBatch({Rpc(1), Db(1), Rpc(2), Db(2), Rpc(3)});
+  }
+  std::string SingleRow() const { return EncodeBatch({Rpc(1), Rpc(2)}); }
+  std::string Columnar() const {
+    ColumnBatch batch(rpc_);
+    batch.AppendEvent(Rpc(1));
+    batch.AppendEvent(Rpc(2));
+    std::string buf;
+    EncodeColumnBatch(batch, nullptr, batch.rows(), nullptr, &buf);
+    return buf;
+  }
+  std::string Join() const {
+    ColumnBatch rpc(rpc_);
+    ColumnBatch db(db_);
+    for (uint64_t rid = 1; rid <= 3; ++rid) {
+      rpc.AppendEvent(Rpc(rid));
+    }
+    for (uint64_t rid = 1; rid <= 2; ++rid) {
+      db.AppendEvent(Db(rid));
+    }
+    std::string buf;
+    EncodeColumnJoinBatch({{&rpc, nullptr, rpc.rows(), nullptr},
+                           {&db, nullptr, db.rows(), nullptr}},
+                          {0, 1, 0, 1, 0}, &buf);
+    return buf;
+  }
+
+  struct Payload {
+    BatchFormat format;
+    std::string bytes;
+  };
+  std::vector<Payload> Payloads() const {
+    return {{BatchFormat::kRow, MixedRow()},
+            {BatchFormat::kRow, SingleRow()},
+            {BatchFormat::kColumnar, Columnar()},
+            {BatchFormat::kColumnarJoin, Join()}};
+  }
+
+  // Whatever a decode accepts must be a well-formed slice: every position
+  // names an existing section and row, and each section row is used once.
+  static void ExpectWellFormed(const ColumnSlice& slice) {
+    ASSERT_LE(slice.sections.size(), 255u);
+    if (slice.order.empty()) {
+      ASSERT_LE(slice.sections.size(), 1u);
+      ASSERT_TRUE(slice.rows.empty());
+      return;
+    }
+    ASSERT_EQ(slice.rows.size(), slice.order.size());
+    std::vector<uint32_t> next(slice.sections.size(), 0);
+    for (size_t i = 0; i < slice.size(); ++i) {
+      ASSERT_LT(slice.section(i), slice.sections.size());
+      ASSERT_EQ(slice.row(i), next[slice.section(i)]++);
+    }
+    for (size_t s = 0; s < slice.sections.size(); ++s) {
+      ASSERT_EQ(next[s], slice.sections[s]->rows());
+    }
+  }
+
+  SchemaRegistry registry_;
+  SchemaPtr rpc_;
+  SchemaPtr db_;
+};
+
+TEST_F(SliceWireFuzzTest, EveryFormatDecodesToSectionsAndInterleave) {
+  const std::vector<uint8_t> interleave = {0, 1, 0, 1, 0};
+  for (const BatchFormat format :
+       {BatchFormat::kRow, BatchFormat::kColumnarJoin}) {
+    Result<ColumnSlice> slice = DecodeColumnSlice(
+        registry_, format,
+        format == BatchFormat::kRow ? MixedRow() : Join());
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+    ASSERT_EQ(slice->sections.size(), 2u);
+    EXPECT_EQ(slice->sections[0]->schema()->type_name(), "rpc");
+    EXPECT_EQ(slice->sections[1]->schema()->type_name(), "db");
+    EXPECT_EQ(slice->order, interleave);
+    EXPECT_EQ(slice->rows, (std::vector<uint32_t>{0, 0, 1, 1, 2}));
+  }
+  // One type, whatever the format: one section and no per-row vectors.
+  for (const BatchFormat format : {BatchFormat::kRow, BatchFormat::kColumnar}) {
+    Result<ColumnSlice> slice = DecodeColumnSlice(
+        registry_, format,
+        format == BatchFormat::kRow ? SingleRow() : Columnar());
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+    ASSERT_EQ(slice->sections.size(), 1u);
+    EXPECT_TRUE(slice->order.empty());
+    EXPECT_TRUE(slice->rows.empty());
+    EXPECT_EQ(slice->size(), 2u);
+    EXPECT_EQ(slice->sections[0]->ValueAt(/*field=*/1, /*row=*/1),
+              Value(int64_t{14}));
+  }
+  // An empty row batch decodes to nothing at all.
+  Result<ColumnSlice> empty =
+      DecodeColumnSlice(registry_, BatchFormat::kRow, EncodeBatch({}));
+  ASSERT_TRUE(empty.ok());
+  EXPECT_EQ(empty->size(), 0u);
+  EXPECT_TRUE(empty->sections.empty());
+}
+
+TEST_F(SliceWireFuzzTest, EveryTruncationFailsCleanly) {
+  for (const Payload& p : Payloads()) {
+    for (size_t len = 0; len < p.bytes.size(); ++len) {
+      EXPECT_FALSE(
+          DecodeColumnSlice(registry_, p.format, p.bytes.substr(0, len)).ok())
+          << "format " << static_cast<int>(p.format) << ", prefix of " << len
+          << " bytes";
+    }
+  }
+}
+
+TEST_F(SliceWireFuzzTest, RandomByteFlipsNeverCrashTheSliceDecoder) {
+  Rng rng(0x511ce);
+  for (const Payload& p : Payloads()) {
+    for (int trial = 0; trial < 1500; ++trial) {
+      std::string buf = p.bytes;
+      const int flips = 1 + static_cast<int>(rng.NextUint64() % 8);
+      for (int f = 0; f < flips; ++f) {
+        const size_t pos = static_cast<size_t>(rng.NextUint64() % buf.size());
+        buf[pos] = static_cast<char>(rng.NextUint64() & 0xff);
+      }
+      Result<ColumnSlice> slice = DecodeColumnSlice(registry_, p.format, buf);
+      if (slice.ok()) {
+        ExpectWellFormed(*slice);
+      }
+    }
+  }
+}
+
+TEST_F(SliceWireFuzzTest, RandomGarbageNeverCrashesTheSliceDecoder) {
+  Rng rng(0x9a7b);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t len = static_cast<size_t>(rng.NextUint64() % 256);
+    std::string buf;
+    buf.reserve(len);
+    for (size_t i = 0; i < len; ++i) {
+      buf.push_back(static_cast<char>(rng.NextUint64() & 0xff));
+    }
+    for (const BatchFormat format :
+         {BatchFormat::kRow, BatchFormat::kColumnar,
+          BatchFormat::kColumnarJoin}) {
+      Result<ColumnSlice> slice = DecodeColumnSlice(registry_, format, buf);
+      if (slice.ok()) {
+        ExpectWellFormed(*slice);
+      }
+    }
+  }
+}
+
+TEST_F(SliceWireFuzzTest, MoreThan255RowTypesIsRejected) {
+  SchemaRegistry registry;
+  std::vector<Event> events;
+  for (int t = 0; t < 256; ++t) {
+    SchemaPtr schema = *EventSchema::Builder(StrFormat("t%d", t))
+                            .AddField("n", FieldType::kLong)
+                            .Build();
+    ASSERT_TRUE(registry.Register(schema).ok());
+    events.emplace_back(schema, static_cast<RequestId>(t), 1);
+  }
+  const std::vector<Event> fits(events.begin(), events.end() - 1);
+  Result<ColumnSlice> ok =
+      DecodeColumnSlice(registry, BatchFormat::kRow, EncodeBatch(fits));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->sections.size(), 255u);
+  ExpectWellFormed(*ok);
+  Result<ColumnSlice> over =
+      DecodeColumnSlice(registry, BatchFormat::kRow, EncodeBatch(events));
+  ASSERT_FALSE(over.ok());
+  EXPECT_NE(over.status().ToString().find("255"), std::string::npos)
+      << over.status().ToString();
+}
+
+// Property: for any mix of schemas, values (schema drift included) and
+// interleave, the sections of a row payload materialize to exactly
+// DecodeBatch's events, in order — down to the encoded bytes, which is what
+// spill records and the accountant's logical sizes rely on.
+TEST_F(SliceWireFuzzTest, RowSectionsMaterializeToDecodeBatchEvents) {
+  Rng rng(0x50c7);
+  static const FieldType kTypes[] = {
+      FieldType::kBool,     FieldType::kInt,       FieldType::kLong,
+      FieldType::kFloat,    FieldType::kDouble,    FieldType::kDateTime,
+      FieldType::kString,   FieldType::kBoolList,  FieldType::kIntList,
+      FieldType::kLongList, FieldType::kFloatList, FieldType::kDoubleList,
+      FieldType::kStringList, FieldType::kObject};
+  for (int trial = 0; trial < 60; ++trial) {
+    SchemaRegistry registry;
+    const size_t num_types = 1 + rng.NextUint64() % 3;
+    std::vector<SchemaPtr> schemas;
+    std::vector<std::vector<FieldType>> types(num_types);
+    for (size_t t = 0; t < num_types; ++t) {
+      auto builder = EventSchema::Builder(StrFormat("s%d_%zu", trial, t));
+      const size_t fields = 1 + rng.NextUint64() % 5;
+      for (size_t f = 0; f < fields; ++f) {
+        types[t].push_back(kTypes[rng.NextUint64() % std::size(kTypes)]);
+        builder.AddField(StrFormat("f%zu", f), types[t].back());
+      }
+      schemas.push_back(*builder.Build());
+      ASSERT_TRUE(registry.Register(schemas.back()).ok());
+    }
+    std::vector<Event> events;
+    const size_t n = rng.NextUint64() % 30;
+    for (size_t i = 0; i < n; ++i) {
+      const size_t t = rng.NextUint64() % num_types;
+      Event e(schemas[t], rng.NextUint64(),
+              static_cast<TimeMicros>(rng.NextUint64() % 1'000'000));
+      for (size_t f = 0; f < types[t].size(); ++f) {
+        if (!rng.NextBool(0.2)) {
+          e.SetField(f, RandomValue(types[t][f], &rng));
+        }
+      }
+      events.push_back(std::move(e));
+    }
+    const std::string payload = EncodeBatch(events);
+    Result<std::vector<Event>> rows = DecodeBatch(registry, payload);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    Result<ColumnSlice> slice =
+        DecodeColumnSlice(registry, BatchFormat::kRow, payload);
+    ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+    ExpectWellFormed(*slice);
+    ASSERT_EQ(slice->size(), rows->size()) << "trial " << trial;
+    for (size_t i = 0; i < rows->size(); ++i) {
+      const Event got =
+          slice->sections[slice->section(i)]->MaterializeEvent(slice->row(i));
+      std::string want_bytes;
+      std::string got_bytes;
+      EncodeEvent((*rows)[i], &want_bytes);
+      EncodeEvent(got, &got_bytes);
+      EXPECT_EQ(got_bytes, want_bytes) << "trial " << trial << " event " << i;
+      EXPECT_EQ(got.WireSize(), (*rows)[i].WireSize());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scrub

@@ -77,18 +77,19 @@ else
        "${BUILD_DIR}/tests/spill_test" > /dev/null; then
     fail "spill stress failed under sanitizers (re-run: SCRUB_SPILL_STRESS_DIVISOR=64 ${BUILD_DIR}/tests/spill_test)"
   fi
-  # The dict/join wire decoders parse hostile bytes; run their fuzz fixtures
-  # by name (in addition to the full ctest pass above) so a fixture rename
-  # or deletion is a visible gate change, not silent coverage loss.
-  note "dict/join wire fuzz under ASan+UBSan"
+  # The dict/join wire decoders and central's one decoded form
+  # (DecodeColumnSlice, every format) parse hostile bytes; run their fuzz
+  # fixtures by name (in addition to the full ctest pass above) so a fixture
+  # rename or deletion is a visible gate change, not silent coverage loss.
+  note "dict/join/slice wire fuzz under ASan+UBSan"
   if ! "${BUILD_DIR}/tests/wire_fuzz_test" --gtest_list_tests \
-       --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*' 2>/dev/null | \
+       --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*:SliceWireFuzzTest.*' 2>/dev/null | \
        grep -q '^  '; then
-    fail "dict/join fuzz fixtures missing from wire_fuzz_test"
+    fail "dict/join/slice fuzz fixtures missing from wire_fuzz_test"
   elif ! ASAN_OPTIONS=detect_leaks=1 UBSAN_OPTIONS=print_stacktrace=1 \
        "${BUILD_DIR}/tests/wire_fuzz_test" \
-       --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*' > /dev/null; then
-    fail "dict/join wire fuzz failed under sanitizers (re-run: ${BUILD_DIR}/tests/wire_fuzz_test --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*')"
+       --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*:SliceWireFuzzTest.*' > /dev/null; then
+    fail "dict/join/slice wire fuzz failed under sanitizers (re-run: ${BUILD_DIR}/tests/wire_fuzz_test --gtest_filter='DictWireFuzzTest.*:JoinWireFuzzTest.*:SliceWireFuzzTest.*')"
   fi
 fi
 
